@@ -3,10 +3,7 @@
 Re-linting an unchanged tree should cost file reads and hash checks, not
 AST parses and interprocedural fixpoints.  The cache stores, per file,
 the content hash and the findings produced last time; per project, a
-digest over every linted file *plus the auxiliary cross-reference
-sources* (oracle tests, docs — RA010 reads them, so editing
-``docs/analysis.md`` must invalidate the project pass even though no
-``.py`` file changed).
+digest over every linted file.
 
 The cache is keyed by the active rule-set signature: running with
 ``--rules RA001`` and then without must not serve each other's results.
@@ -20,8 +17,6 @@ import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
-
-from repro.analysis.callgraph import find_repo_root
 
 __all__ = ["LintCache", "DEFAULT_CACHE_PATH"]
 
@@ -99,18 +94,6 @@ class LintCache:
         for f in files:
             h.update(str(f).encode())
             h.update(_sha256(sources.get(str(f), "")).encode())
-        # Aux sources mirror Project.load_aux's glob set.
-        root = find_repo_root(Path(files[0])) if files else None
-        if root is not None:
-            aux = sorted(root.glob("tests/test_oracle*.py"))
-            aux += sorted(root.glob("docs/*.md"))
-            aux.append(root / "README.md")
-            for f in aux:
-                try:
-                    h.update(str(f).encode())
-                    h.update(_sha256(f.read_text(encoding="utf-8")).encode())
-                except OSError:
-                    continue
         return h.hexdigest()
 
     def get_project(self, digest: str):

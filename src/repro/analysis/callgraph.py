@@ -1,23 +1,16 @@
 """Project-level module, import, and call graph for the analyzer.
 
 The per-file rules (RA001–RA006, RA008) see one ``ast.Module`` at a time;
-the project rules (RA007, RA009, RA010) need to follow a numpy view
-created in ``cp_als`` through a helper in another module into a ``_k_*``
-kernel, or to check that every branch of the dispatch table in
-``repro.core.dispatch`` is matched by an entry in the autotuner's
-candidate set.  This module provides the shared substrate:
+the project rule RA007 needs to follow a numpy view created in
+``cp_als`` through a helper in another module into a ``_k_*`` kernel.
+This module provides the shared substrate:
 
 * :class:`ModuleInfo` — one parsed source file: dotted module name,
   import map (local name -> fully qualified target), and the function
   definitions it contains;
 * :class:`Project` — the set of modules under analysis, a
   name-resolution service (``resolve_call``), and the induced call graph
-  (``callees`` / ``reachable``);
-* **auxiliary sources** — when the scanned tree sits inside a repository
-  (detected by walking up to ``pyproject.toml``/``setup.py``), the
-  project also loads the differential-oracle test module and the
-  Markdown docs, so RA010 can cross-reference contract surfaces that
-  live outside ``src/repro``.
+  (``callees`` / ``reachable``).
 
 Resolution is purely syntactic and deliberately conservative: only
 plain-name calls (``helper(...)``), imported-name calls (``from m import
@@ -30,29 +23,22 @@ rules.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "Project",
-    "DispatchTable",
-    "extract_dispatch_tables",
     "module_name_for",
-    "find_repo_root",
 ]
-
-#: Markers that identify a repository root when walking up from a
-#: scanned path (for auxiliary cross-reference sources).
-_ROOT_MARKERS = ("pyproject.toml", "setup.py", ".git")
 
 
 @dataclass
 class FunctionInfo:
     """One function/async-function definition in the project."""
 
-    qualname: str  # "repro.core.dispatch._run" (nested: outer.inner)
+    qualname: str  # "repro.core.dispatch.mttkrp" (nested: outer.inner)
     name: str
     module: "ModuleInfo"
     node: ast.AST
@@ -79,21 +65,6 @@ def module_name_for(path: Path) -> str:
             break
         cur = parent
     return ".".join(parts) if parts else path.stem
-
-
-def find_repo_root(start: Path, max_up: int = 8) -> Path | None:
-    """Nearest ancestor of ``start`` carrying a repo-root marker."""
-    cur = Path(start).resolve()
-    if cur.is_file():
-        cur = cur.parent
-    for _ in range(max_up):
-        if any((cur / m).exists() for m in _ROOT_MARKERS):
-            return cur
-        parent = cur.parent
-        if parent == cur:
-            return None
-        cur = parent
-    return None
 
 
 class ModuleInfo:
@@ -160,30 +131,18 @@ class Project:
         self.modules: dict[str, ModuleInfo] = {}  # by dotted name
         self.modules_by_path: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}  # by qualname
-        #: Auxiliary modules (oracle tests, ...) — cross-referenced by
-        #: project rules but never linted themselves.
-        self.aux_modules: list[ModuleInfo] = []
-        #: Concatenated Markdown documentation text (docs surface).
-        self.docs_text: str = ""
         self._edges: dict[str, set[str]] | None = None
 
     # -- loading -------------------------------------------------------- #
 
     @classmethod
     def load(
-        cls,
-        files: list[Path],
-        *,
-        sources: dict[str, str] | None = None,
-        detect_root: bool = True,
+        cls, files: list[Path], *, sources: dict[str, str] | None = None
     ) -> "Project":
         """Parse ``files`` into a project.
 
         ``sources`` optionally supplies pre-read file contents (keyed by
         ``str(path)``) so the incremental cache can avoid double reads.
-        With ``detect_root``, auxiliary cross-reference sources (the
-        differential-oracle test module, ``docs/*.md``, ``README.md``)
-        are loaded from the enclosing repository, when one is found.
         """
         proj = cls()
         for f in files:
@@ -195,10 +154,6 @@ class Project:
                 except OSError:
                     continue
             proj.add_module(f, src)
-        if detect_root and files:
-            root = find_repo_root(Path(files[0]))
-            if root is not None:
-                proj.load_aux(root)
         return proj
 
     def add_module(self, path: Path, source: str) -> ModuleInfo | None:
@@ -213,26 +168,6 @@ class Project:
             self.functions[info.qualname] = info
         self._edges = None
         return mod
-
-    def load_aux(self, root: Path) -> None:
-        """Load cross-reference sources from the repository root."""
-        for pattern in ("tests/test_oracle*.py",):
-            for f in sorted(root.glob(pattern)):
-                try:
-                    src = f.read_text(encoding="utf-8")
-                    tree = ast.parse(src, filename=str(f))
-                except (OSError, SyntaxError):
-                    continue
-                self.aux_modules.append(
-                    ModuleInfo(f, f.stem, src, tree)
-                )
-        chunks: list[str] = []
-        for f in sorted(root.glob("docs/*.md")) + [root / "README.md"]:
-            try:
-                chunks.append(f.read_text(encoding="utf-8"))
-            except OSError:
-                continue
-        self.docs_text = "\n".join(chunks)
 
     # -- name resolution ------------------------------------------------ #
 
@@ -293,72 +228,3 @@ class Project:
                     seen[nxt.qualname] = nxt
                     frontier.append(nxt)
         return list(seen.values())
-
-
-@dataclass
-class DispatchTable:
-    """A ``method == "literal" -> kernel(...)`` if-chain dispatch table."""
-
-    module: ModuleInfo
-    function: FunctionInfo
-    entries: dict[str, FunctionInfo] = field(default_factory=dict)
-    lines: dict[str, int] = field(default_factory=dict)
-
-
-def _str_eq_test(test: ast.expr) -> str | None:
-    """The string literal of a ``<name> == "lit"`` comparison, if any."""
-    if (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)
-            and isinstance(test.left, ast.Name)
-            and len(test.comparators) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and isinstance(test.comparators[0].value, str)):
-        return test.comparators[0].value
-    return None
-
-
-def _returned_call(stmts: list[ast.stmt]) -> ast.Call | None:
-    for stmt in stmts:
-        if (isinstance(stmt, ast.Return)
-                and isinstance(stmt.value, ast.Call)):
-            return stmt.value
-    return None
-
-
-def extract_dispatch_tables(project: Project,
-                            module: ModuleInfo) -> list[DispatchTable]:
-    """Dispatch tables in ``module``: functions containing two or more
-    ``if method == "lit": return kernel(...)`` branches whose kernels
-    resolve to project functions.  A trailing ``assert method == "lit"``
-    followed by ``return kernel(...)`` contributes a final entry."""
-    tables: list[DispatchTable] = []
-    for fn in module.functions.values():
-        entries: dict[str, FunctionInfo] = {}
-        lines: dict[str, int] = {}
-        body = getattr(fn.node, "body", [])
-        for stmt in ast.walk(fn.node):
-            if isinstance(stmt, ast.If):
-                lit = _str_eq_test(stmt.test)
-                if lit is None:
-                    continue
-                call = _returned_call(stmt.body)
-                if call is None:
-                    continue
-                target = project.resolve_call(module, call)
-                if target is not None:
-                    entries[lit] = target
-                    lines[lit] = stmt.lineno
-        # ``assert method == "baseline"`` + ``return mttkrp_baseline(...)``
-        for i, stmt in enumerate(body):
-            if isinstance(stmt, ast.Assert):
-                lit = _str_eq_test(stmt.test)
-                if lit is not None:
-                    call = _returned_call(body[i + 1:i + 2])
-                    if call is not None:
-                        target = project.resolve_call(module, call)
-                        if target is not None:
-                            entries[lit] = target
-                            lines[lit] = stmt.lineno
-        if len(entries) >= 2:
-            tables.append(DispatchTable(module, fn, entries, lines))
-    return tables

@@ -165,9 +165,8 @@ def lint_paths(paths: list[str | Path],
 
     ``cache`` is an optional :class:`repro.analysis.cache.LintCache`;
     per-file results are reused when a file's content hash is unchanged,
-    and the project-rule pass is reused when the whole file set (plus the
-    auxiliary oracle/docs sources) is unchanged.  The caller saves the
-    cache.
+    and the project-rule pass is reused when the whole file set is
+    unchanged.  The caller saves the cache.
     """
     files = collect_files(paths)
     sources: dict[str, str] = {}

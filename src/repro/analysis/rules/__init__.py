@@ -16,10 +16,6 @@ from repro.analysis.rules.base import (
     RawFinding,
     Rule,
 )
-from repro.analysis.rules.contract_rules import (
-    RA009MissingCostCounters,
-    RA010ContractCompleteness,
-)
 from repro.analysis.rules.interproc_rules import RA007InterprocViewEscape
 from repro.analysis.rules.layout_rules import (
     RA003UnpinnedAllocation,
@@ -56,8 +52,6 @@ ALL_RULES: tuple[Rule, ...] = (
 
 PROJECT_RULES: tuple[ProjectRule, ...] = (
     RA007InterprocViewEscape(),
-    RA009MissingCostCounters(),
-    RA010ContractCompleteness(),
 )
 
 

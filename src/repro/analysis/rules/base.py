@@ -103,7 +103,7 @@ class Rule:
 
 
 class ProjectRule:
-    """Base class for call-graph-aware rules (RA007, RA009, RA010).
+    """Base class for call-graph-aware rules (RA007).
 
     Same id/severity/title/hint surface as :class:`Rule`, but
     :meth:`check_project` receives the whole parsed

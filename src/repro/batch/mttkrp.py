@@ -4,8 +4,8 @@ For one small tensor the 1-step kernel is a KRP plus one GEMM; at fleet
 scale (``B`` small same-shape tensors) the Python/dispatch overhead of
 ``B`` separate kernel calls dwarfs the arithmetic.  This module lifts
 the formulation to 3-D: per-item Khatri-Rao panels are formed into a
-cache-resident stacked buffer (chunked by the same machine-model cache
-capacity the blocked kernel's tiles use), then one batched
+cache-resident stacked buffer (chunked by the machine model's cache
+capacity, :attr:`~repro.machine.model.MachineModel.cache_bytes`), then one batched
 ``np.matmul`` — ``(bc, I_n, J) @ (bc, J, C)`` — computes a whole chunk
 of MTTKRPs in a single call.  Internal modes use the 4-D form
 ``(bc, I^R_n, I_n, I^L_n) @ (bc, I^R_n, I^L_n, C)`` summed over the
@@ -42,7 +42,7 @@ import numpy as np
 from repro.batch.tensor import BatchedTensor
 from repro.core.flops import record_mttkrp_cost
 from repro.core.krp import khatri_rao
-from repro.core.mttkrp_blocked import _resolve_cache_bytes
+from repro.machine.model import resolve_cache_bytes
 from repro.obs import get_tracer
 from repro.parallel.backend import get_executor
 from repro.parallel.config import resolve_threads, use_backend
@@ -78,9 +78,8 @@ class BatchPlan:
 
     ``chunk`` items are processed per stacked GEMM so that the panel
     chunk, the tensor chunk, and the output chunk together stay within
-    half the fast-memory capacity — the same budget rule the blocked
-    kernel's :func:`~repro.core.mttkrp_blocked.choose_tiles` applies to
-    one large tensor.
+    half the machine model's fast-memory capacity
+    (:func:`~repro.machine.model.resolve_cache_bytes`).
     """
 
     chunk: int
@@ -108,7 +107,7 @@ def choose_batch_chunk(
     batch = int(batch)
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    cache = _resolve_cache_bytes(cache_bytes)
+    cache = resolve_cache_bytes(cache_bytes)
     p = mode_products(shape, n)
     C = int(C)
     target_words = max(int(cache) // 2 // int(itemsize), 1)

@@ -11,7 +11,7 @@
 * :mod:`~repro.bench.trend` — cross-PR regression tracker diffing a run
   against the committed history, tolerance-aware, fails loudly;
 * :mod:`~repro.bench.cli` — the ``repro-bench`` CLI (also
-  ``python -m repro.bench``): ``list`` / ``run`` / ``trend`` / ``migrate``;
+  ``python -m repro.bench``): ``list`` / ``run`` / ``trend``;
 * :mod:`~repro.bench.timing` — robust wall timing (median-of-k, raw
   samples) and the :class:`~repro.util.timing.PhaseTimer` re-export;
 * :mod:`~repro.bench.stream` — the STREAM scale benchmark of Figure 4;

@@ -7,7 +7,6 @@ Subcommands::
                             [--rng SEED] [--out FILE] [--root-summary]
     repro-bench trend [--results DIR] [--current FILE] [--baseline best|latest]
                       [--tolerance F] [--abs-floor S] [--json FILE]
-    repro-bench migrate [--results DIR] [--keep-legacy]
 
 ``run`` executes any subset of registered benchmarks at a chosen scale
 and writes one normalized results file (default
@@ -31,7 +30,6 @@ import sys
 
 from repro.bench import trend as trend_mod
 from repro.bench.env import host_class
-from repro.bench.migrate import migrate_results
 from repro.bench.registry import get_spec, list_specs, run_benchmark
 from repro.bench.schema import SchemaError, load_results, write_results
 
@@ -90,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trend.add_argument("--chart", action="store_true",
                          help="render a terminal ratio chart of the diffs")
 
-    p_mig = sub.add_parser(
-        "migrate", help="convert legacy BENCH_*.json into normalized files")
-    p_mig.add_argument("--results", default=DEFAULT_RESULTS_DIR,
-                       help="directory holding the legacy files")
-    p_mig.add_argument("--keep-legacy", action="store_true",
-                       help="leave the originals in place instead of moving "
-                            "them to results/archive/")
     return parser
 
 
@@ -186,23 +177,10 @@ def _cmd_trend(args) -> int:
     return result.exit_code
 
 
-def _cmd_migrate(args) -> int:
-    written = migrate_results(args.results, archive=not args.keep_legacy)
-    if not written:
-        print(f"nothing to migrate under {args.results!r}")
-        return 0
-    for path in written:
-        print(f"wrote {path} ({len(load_results(path))} records)")
-    if not args.keep_legacy:
-        print(f"legacy originals moved to {args.results}/archive/")
-    return 0
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "trend": _cmd_trend,
-    "migrate": _cmd_migrate,
 }
 
 

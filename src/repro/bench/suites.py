@@ -322,49 +322,6 @@ def _run_autotune(scale, threads, repeats, rng):
 
 
 # --------------------------------------------------------------------- #
-# Cache-blocked MTTKRP (PR 7)
-# --------------------------------------------------------------------- #
-
-
-@register(
-    "blocked",
-    title="Cache-blocked MTTKRP vs 1-step: achieved bytes vs BRK lower bound",
-    tags=("mttkrp", "blocked"),
-    default_scale=1.0,
-)
-def _run_blocked(scale, threads, repeats, rng):
-    from repro.core.dispatch import mttkrp
-
-    shape = scaled_shape((36, 30, 24), scale)
-    rank = 16
-    X = random_tensor(shape, rng=rng)
-    U = random_factors(shape, rank, rng=rng + 1)
-    records = []
-    for n in (0, 1):  # one external + one internal mode
-        for method in ("blocked", "onestep"):
-            for T in threads:
-                record = measure_case(
-                    "blocked",
-                    f"n{n}/{method}/T{T}",
-                    lambda n=n, method=method, T=T: mttkrp(
-                        X, U, n, method=method, num_threads=T
-                    ),
-                    params={"shape": list(shape), "rank": rank,
-                            "mode": n, "method": method, "threads": T},
-                    repeats=repeats,
-                )
-                counters = record.get("counters", {})
-                bound = counters.get("bytes_lower_bound", 0.0)
-                if bound > 0:
-                    achieved = counters.get("bytes_read", 0.0) + counters.get(
-                        "bytes_written", 0.0
-                    )
-                    counters["bound_ratio"] = achieved / bound
-                records.append(record)
-    return records
-
-
-# --------------------------------------------------------------------- #
 # Parallel-runtime substrate (PR 2)
 # --------------------------------------------------------------------- #
 
@@ -438,13 +395,9 @@ def _noop_kernel(worker, start, stop):
     default_scale=0.1,
 )
 def _run_ablations(scale, threads, repeats, rng):
+    from repro.core.dispatch import KERNELS
     from repro.core.krp_parallel import khatri_rao_parallel
-    from repro.core.mttkrp_baseline import mttkrp_baseline
-    from repro.core.mttkrp_onestep import (
-        mttkrp_onestep,
-        mttkrp_onestep_sequential,
-    )
-    from repro.core.mttkrp_twostep import choose_side, mttkrp_twostep
+    from repro.core.mttkrp_twostep import choose_side
 
     records = []
     skewed = scaled_shape((40, 80, 400), 25 * scale * 0.004)
@@ -454,7 +407,8 @@ def _run_ablations(scale, threads, repeats, rng):
     for side in ("auto", "left", "right"):
         records.append(measure_case(
             "ablations", f"twostep-side/{side}",
-            lambda side=side: mttkrp_twostep(X, U, 1, side=side, num_threads=1),
+            lambda side=side: KERNELS["twostep"].run(
+                X, U, 1, side=side, num_threads=1),
             params={"shape": list(skewed), "rank": 16, "side": side,
                     "rule_choice": rule, "threads": 1},
             repeats=repeats,
@@ -463,15 +417,10 @@ def _run_ablations(scale, threads, repeats, rng):
     # (explicit reorder + full KRP), Algorithm 2 ("onestep-seq",
     # materializing the full KRP), and Algorithm 3 ("onestep", streaming
     # KRP blocks) — the paper's motivation for the 1-step reformulation.
-    seq_variants = {
-        "baseline": lambda: mttkrp_baseline(X, U, 1, num_threads=1),
-        "onestep-seq": lambda: mttkrp_onestep_sequential(X, U, 1),
-        "onestep": lambda: mttkrp_onestep(X, U, 1, num_threads=1),
-    }
-    for method, run in seq_variants.items():
+    for method in ("baseline", "onestep-seq", "onestep"):
         records.append(measure_case(
             "ablations", f"seq-variant/{method}",
-            run,
+            lambda spec=KERNELS[method]: spec.run(X, U, 1, num_threads=1),
             params={"shape": list(skewed), "rank": 16, "method": method,
                     "threads": 1},
             repeats=repeats,

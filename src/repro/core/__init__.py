@@ -7,12 +7,11 @@
   blocks per thread, Section 4.1.2);
 * :mod:`~repro.core.mttkrp_onestep` — 1-step MTTKRP (Algorithms 2 and 3);
 * :mod:`~repro.core.mttkrp_twostep` — 2-step MTTKRP (Algorithm 4);
-* :mod:`~repro.core.mttkrp_blocked` — cache-blocked MTTKRP with tile
-  shapes derived from the Ballard-Rouse-Knight communication lower bound;
 * :mod:`~repro.core.mttkrp_baseline` — the explicit-reorder baseline and
   the DGEMM-only lower bound used in the paper's figures;
-* :mod:`~repro.core.dispatch` — the per-mode algorithm selection used by
-  CP-ALS (1-step for external modes, 2-step for internal modes);
+* :mod:`~repro.core.dispatch` — the kernel table and the per-mode
+  algorithm selection used by CP-ALS (1-step for external modes, 2-step
+  for internal modes);
 * :mod:`~repro.core.flops` — exact flop/byte counts per algorithm phase
   (consumed by the machine model and the benchmark harness);
 * :mod:`~repro.core.dimtree` — the cross-mode-reuse extension the paper's
@@ -36,7 +35,6 @@ from repro.core.krp import (
 )
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.core.mttkrp_baseline import mttkrp_baseline, mttkrp_gemm_lower_bound
-from repro.core.mttkrp_blocked import choose_tiles, mttkrp_blocked
 from repro.core.mttkrp_onestep import mttkrp_onestep, mttkrp_onestep_sequential
 from repro.core.mttkrp_twostep import mttkrp_twostep
 
@@ -51,8 +49,6 @@ __all__ = [
     "mttkrp_onestep",
     "mttkrp_onestep_sequential",
     "mttkrp_twostep",
-    "mttkrp_blocked",
-    "choose_tiles",
     "mttkrp_baseline",
     "mttkrp_gemm_lower_bound",
     "left_partial",

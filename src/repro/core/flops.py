@@ -32,7 +32,6 @@ __all__ = [
     "onestep_cost",
     "twostep_cost",
     "baseline_cost",
-    "blocked_cost",
     "batched_cost",
     "gemm_lower_bound_cost",
     "mttkrp_comm_lower_bound",
@@ -339,89 +338,6 @@ def mttkrp_comm_lower_bound(
     return max(compulsory, loomis_whitney) * _DOUBLE
 
 
-def blocked_cost(
-    shape: Sequence[int],
-    n: int,
-    C: int,
-    num_threads: int = 1,
-    cache_bytes: float = DEFAULT_CACHE_BYTES,
-) -> AlgorithmCost:
-    """Cost of the cache-blocked MTTKRP (:mod:`repro.core.mttkrp_blocked`).
-
-    The blocked kernel never materializes a Khatri-Rao panel in memory:
-    KRP tiles are formed in cache-resident buffers and consumed
-    immediately, so the only DRAM traffic charged beyond the compulsory
-    reads/writes is re-reading the left partial KRP when it exceeds the
-    cache (internal modes).  This is what moves the predicted traffic
-    toward :func:`mttkrp_comm_lower_bound`.
-    """
-    shape = [int(s) for s in shape]
-    N = len(shape)
-    C = int(C)
-    T = int(num_threads)
-    p = mode_products(shape, n)
-    external = n == 0 or n == N - 1
-    factor_read = float(sum(shape[k] for k in range(N) if k != n) * C * _DOUBLE)
-    phases: list[PhaseCost] = []
-    if external:
-        other_dims = [shape[k] for k in range(N - 1, -1, -1) if k != n]
-        # KRP tiles: same arithmetic as the reuse schedule, but every tile
-        # lives in cache — only the factor inputs are charged to memory.
-        phases.append(
-            PhaseCost(
-                "full_krp", krp_cost(other_dims, C).flops, factor_read, 0.0
-            )
-        )
-        gemm = PhaseCost(
-            "gemm",
-            2.0 * p.total * C,
-            float(p.total * _DOUBLE),
-            float(p.size * C * _DOUBLE),
-            gemm_shape=(p.size, C, min(p.other, max(p.other // max(T, 1), 1))),
-        )
-        phases.append(gemm)
-    else:
-        left_dims = [shape[k] for k in range(n - 1, -1, -1)]
-        right_dims = [shape[k] for k in range(N - 1, n, -1)]
-        kl = krp_cost(left_dims, C)
-        kr = krp_cost(right_dims, C)
-        # K_L is materialized once; it is re-read from memory for every
-        # right block only when it does not fit in (half) the cache.
-        kl_bytes = float(p.left * C * _DOUBLE)
-        reloads = 1.0 if 2.0 * kl_bytes <= cache_bytes else float(p.right)
-        phases.append(
-            PhaseCost(
-                "lr_krp",
-                # K_L formation + right-KRP rows + per-tile Hadamard
-                # broadcasts (K_t tiles: I^L_n * C multiplies per block).
-                kl.flops + kr.flops + float(p.right) * p.left * C,
-                kl.read_bytes + max(reloads - 1.0, 0.0) * kl_bytes
-                + float(p.right * C * _DOUBLE),
-                kl.write_bytes,
-            )
-        )
-        phases.append(
-            PhaseCost(
-                "gemm",
-                2.0 * p.total * C,
-                float(p.total * _DOUBLE),
-                float(p.size * C * _DOUBLE),
-                gemm_shape=(p.size, C, p.left),
-            )
-        )
-    if T > 1:
-        entries = p.size * C
-        phases.append(
-            PhaseCost(
-                "reduce",
-                float((T - 1) * entries),
-                float(2 * (T - 1) * entries * _DOUBLE),
-                float((T - 1) * entries * _DOUBLE),
-            )
-        )
-    return AlgorithmCost("blocked", tuple(_merge(phases)))
-
-
 def batched_cost(
     shape: Sequence[int], n: int, C: int, batch: int, num_threads: int = 1
 ) -> AlgorithmCost:
@@ -477,13 +393,13 @@ def record_mttkrp_cost(
 ) -> None:
     """Attach one MTTKRP call's analytic cost as obs counters.
 
-    Every dispatch-registered kernel calls this on entry (the analyzer's
-    RA009 rule enforces it), *before* opening its phase spans, so the
+    The kernel table's runner (:meth:`repro.core.dispatch.KernelSpec.run`)
+    calls this once per call with the row's ``cost_kind``, so the
     counters land on the innermost open span — the ``mttkrp.<method>``
     span when the call came through :func:`repro.core.dispatch.mttkrp`,
-    the tracer-level counters on a direct kernel call (tuner probes,
-    bench suites).  Alongside the achieved flop/byte counts, every call
-    carries ``bytes_lower_bound`` — the Ballard-Rouse-Knight
+    the enclosing span (or the tracer-level counters) on a direct runner
+    call (tuner probes, bench suites).  Alongside the achieved flop/byte
+    counts, every call carries ``bytes_lower_bound`` — the Ballard-Rouse-Knight
     data-movement floor for this (shape, mode, rank) — so any traced run
     can report its achieved-vs-lower-bound byte ratio.
 
@@ -501,12 +417,12 @@ def record_mttkrp_cost(
         from repro.machine.model import host_model_default
 
         cache_bytes = float(host_model_default().cache_bytes)
-    if kind in ("onestep", "onestep-seq"):
+    if kind == "onestep":
         cost = onestep_cost(shape, n, rank, num_threads)
+    elif kind == "onestep-seq":  # Algorithm 2 always runs sequentially
+        cost = onestep_cost(shape, n, rank, 1)
     elif kind == "twostep":
         cost = twostep_cost(shape, n, rank)
-    elif kind == "blocked":
-        cost = blocked_cost(shape, n, rank, num_threads, cache_bytes=cache_bytes)
     elif kind == "baseline":
         cost = baseline_cost(shape, n, rank)
     elif kind == "batched":

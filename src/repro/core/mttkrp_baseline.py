@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.flops import gemm_lower_bound_cost, record_mttkrp_cost
+from repro.core.flops import gemm_lower_bound_cost
 from repro.core.krp import khatri_rao
 from repro.core.mttkrp_onestep import krp_operands
 from repro.obs import get_tracer
@@ -66,11 +66,10 @@ def mttkrp_baseline(
             f"tensor must be a DenseTensor, got {type(tensor).__name__}"
         )
     n = check_mode(n, tensor.ndim)
-    rank = check_factor_matrices(list(factors), tensor.shape)
+    check_factor_matrices(list(factors), tensor.shape)
     T = resolve_threads(num_threads)
     t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
-    record_mttkrp_cost(tr, tensor.shape, n, rank, "baseline", T)
     with t.phase("reorder"), tr.span("reorder"):
         # The memory-bound entry reordering the paper's algorithms avoid.
         Xn = unfold_explicit(tensor, n, order="F")

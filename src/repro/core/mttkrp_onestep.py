@@ -36,7 +36,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.flops import record_mttkrp_cost
 from repro.core.krp import khatri_rao, krp_rows
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.obs import get_tracer
@@ -107,7 +106,6 @@ def mttkrp_onestep_sequential(
     n, rank = _validate(tensor, factors, n)
     t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
-    record_mttkrp_cost(tr, tensor.shape, n, rank, "onestep-seq", 1)
     with t.phase("full_krp"), tr.span("full_krp"):
         K = khatri_rao(krp_operands(factors, n))
     p = mode_products(tensor.shape, n)
@@ -165,7 +163,6 @@ def mttkrp_onestep(
     n, rank = _validate(tensor, factors, n)
     T = resolve_threads(num_threads)
     t = timers if timers is not None else NULL_TIMER
-    record_mttkrp_cost(get_tracer(), tensor.shape, n, rank, "onestep", T)
     if n == 0 or n == tensor.ndim - 1:
         return _onestep_external(tensor, factors, n, rank, T, t)
     return _onestep_internal(tensor, factors, n, rank, T, t)

@@ -36,7 +36,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.flops import record_mttkrp_cost
 from repro.core.krp import khatri_rao
 from repro.obs import get_tracer
 from repro.parallel.backend import get_executor
@@ -100,7 +99,7 @@ def mttkrp_twostep(
             f"tensor must be a DenseTensor, got {type(tensor).__name__}"
         )
     n = check_mode(n, tensor.ndim)
-    rank = check_factor_matrices(list(factors), tensor.shape)
+    check_factor_matrices(list(factors), tensor.shape)
     if tensor.ndim < 3 or n == 0 or n == tensor.ndim - 1:
         raise ValueError(
             f"2-step MTTKRP is defined only for internal modes "
@@ -113,7 +112,6 @@ def mttkrp_twostep(
     t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     N = tensor.ndim
-    record_mttkrp_cost(tr, tensor.shape, n, rank, "twostep", T)
 
     with t.phase("lr_krp"), tr.span("lr_krp"):
         # K_L = U_{n-1} krp ... krp U_0 (mode-0 index fastest);

@@ -40,7 +40,7 @@ def detect_cache_bytes(default: float = float(8 << 20)) -> float:
     unified/data cache level (Linux); any failure — other platforms,
     containers that mask sysfs — falls back to ``default`` (a conservative
     8 MiB).  Feeds :attr:`~repro.machine.model.MachineModel.cache_bytes`,
-    which the blocked MTTKRP kernels use for tile sizing.
+    which the batched engine uses for chunk sizing.
     """
     base = "/sys/devices/system/cpu/cpu0/cache"
     best = 0.0

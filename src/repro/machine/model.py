@@ -40,7 +40,12 @@ from dataclasses import dataclass, replace
 
 from repro.core.flops import PhaseCost
 
-__all__ = ["MachineModel", "paper_machine", "host_model_default"]
+__all__ = [
+    "MachineModel",
+    "paper_machine",
+    "host_model_default",
+    "resolve_cache_bytes",
+]
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,10 @@ class MachineModel:
         ``log2(T)+1``.
     cache_bytes:
         Last-level cache capacity in bytes (one socket's worth — the fast
-        memory a worker can count on).  Drives the analytic tile-shape
-        selection of the blocked MTTKRP kernels
-        (:mod:`repro.core.mttkrp_blocked`) and instantiates the
-        Ballard-Rouse-Knight communication lower bound
-        (:func:`repro.core.flops.mttkrp_comm_lower_bound`).
+        memory a worker can count on).  Sizes the batched engine's
+        cache-resident chunks (:func:`repro.batch.mttkrp.choose_batch_chunk`)
+        and instantiates the Ballard-Rouse-Knight communication lower
+        bound (:func:`repro.core.flops.mttkrp_comm_lower_bound`).
     """
 
     name: str
@@ -275,3 +279,12 @@ def host_model_default() -> MachineModel:
         bw_single_gbs=8.0,
         bw_max_gbs=24.0,
     )
+
+
+def resolve_cache_bytes(cache_bytes: float | None) -> float:
+    """An explicit positive fast-memory budget, else the host default's."""
+    if cache_bytes is not None:
+        if cache_bytes <= 0:
+            raise ValueError(f"cache_bytes must be positive, got {cache_bytes}")
+        return float(cache_bytes)
+    return float(host_model_default().cache_bytes)

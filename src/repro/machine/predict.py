@@ -37,7 +37,6 @@ from repro.core.flops import (
     AlgorithmCost,
     PhaseCost,
     baseline_cost,
-    blocked_cost,
     gemm_lower_bound_cost,
     krp_cost,
     onestep_cost,
@@ -53,7 +52,6 @@ __all__ = [
     "predict_cpals_iteration",
     "predict_krp_time",
     "predict_stream_time",
-    "predict_mttkrp_candidates",
     "ALGORITHMS",
 ]
 
@@ -65,10 +63,6 @@ _PARALLEL_CLASS: dict[tuple[str, str], str] = {
     ("onestep", "lr_krp"): "memory",
     ("onestep", "gemm"): "explicit",
     ("onestep", "reduce"): "memory",
-    ("blocked", "full_krp"): "memory",
-    ("blocked", "lr_krp"): "memory",
-    ("blocked", "gemm"): "explicit",
-    ("blocked", "reduce"): "memory",
     ("twostep", "lr_krp"): "memory",
     ("twostep", "gemm"): "blas",
     ("twostep", "gemv"): "blas",
@@ -76,6 +70,9 @@ _PARALLEL_CLASS: dict[tuple[str, str], str] = {
     ("baseline", "full_krp"): "serial",
     ("baseline", "gemm"): "blas",
     ("gemm-baseline", "gemm"): "blas",
+    ("dimtree", "gemm"): "blas",
+    ("dimtree", "krp"): "memory",
+    ("dimtree", "gemv"): "memory",
     ("ttb", "reorder"): "matlab",
     ("ttb", "full_krp"): "matlab",
     ("ttb", "gemm"): "blas",
@@ -139,6 +136,9 @@ def predict_algorithm_time(
     * ``"baseline"`` — straightforward approach (reorder + reuse-KRP +
       one BLAS GEMM);
     * ``"gemm-baseline"`` — the paper's DGEMM-only Baseline benchmark;
+    * ``"dimtree"`` — the single-mode dimension-tree node path
+      (half-tensor partial contraction + partial KRP + one node
+      contraction);
     * ``"ttb"`` — the Matlab reference profile (serial reorder + serial
       naive KRP + BLAS GEMM).
     """
@@ -158,21 +158,14 @@ def predict_algorithm_time(
         else:
             # Per-block GEMMs of shape (I_n, C, I^L_n).
             per_thread_shape = (p.size, C, p.left)
-    elif algorithm == "blocked":
-        cost = blocked_cost(
-            shape, n, C, threads, cache_bytes=model.cache_bytes
-        )
-        if external:
-            tile = max(p.other // max(threads, 1), 1)
-        else:
-            tile = p.left
-        per_thread_shape = (p.size, C, tile)
     elif algorithm == "twostep":
         cost = twostep_cost(shape, n, C, side=side)
     elif algorithm == "baseline":
         cost = baseline_cost(shape, n, C)
     elif algorithm == "gemm-baseline":
         cost = gemm_lower_bound_cost(shape, n, C)
+    elif algorithm == "dimtree":
+        cost = _dimtree_mode_cost(shape, n, C)
     elif algorithm == "ttb":
         base = baseline_cost(shape, n, C)
         # Same structure as "baseline" but with the naive (no-reuse) KRP the
@@ -266,63 +259,20 @@ def predict_cpals_iteration(
     raise ValueError(f"unknown implementation {implementation!r}")
 
 
-def predict_mttkrp_candidates(
-    model: MachineModel,
-    shape: Sequence[int],
-    n: int,
-    C: int,
-    threads: int,
-) -> dict[str, float]:
-    """Predicted seconds for every *runnable* single-mode MTTKRP candidate.
+def _dimtree_mode_cost(shape: tuple[int, ...], n: int, C: int) -> AlgorithmCost:
+    """Phases of one single-mode dimension-tree MTTKRP (the tuner prior)."""
+    from repro.core.dimtree import split_point
+    from repro.core.flops import gemm_cost
+    from repro.util import prod
 
-    This is the autotuner's **prior** (:mod:`repro.tune`): candidate
-    labels map onto the measured candidate set — ``"onestep"``,
-    ``"baseline"``, ``"blocked"``, ``"twostep:left"``/``"twostep:right"``
-    (internal modes only) and ``"dimtree"`` (the single-mode node path:
-    half-tensor partial contraction + partial KRP + one node
-    contraction).  The model ranks candidates so the tuner measures the
-    plausible ones first and can prune clearly dominated ones; it never
-    replaces measurement, which is the point of the tuner.
-    """
-    shape = tuple(int(s) for s in shape)
-    N = len(shape)
-    external = n == 0 or n == N - 1
-    out: dict[str, float] = {}
-    out["onestep"] = predict_algorithm_time(
-        model, shape, n, C, threads, "onestep"
-    )[0]
-    out["baseline"] = predict_algorithm_time(
-        model, shape, n, C, threads, "baseline"
-    )[0]
-    out["blocked"] = predict_algorithm_time(
-        model, shape, n, C, threads, "blocked"
-    )[0]
-    if not external:
-        for side in ("left", "right"):
-            out[f"twostep:{side}"] = predict_algorithm_time(
-                model, shape, n, C, threads, "twostep", side=side
-            )[0]
-    if N >= 3:
-        from repro.core.dimtree import split_point
-        from repro.core.flops import PhaseCost, gemm_cost
-        from repro.util import prod
-
-        m = split_point(N)
-        if n < m:
-            half, other = shape[:m], shape[m:]
-        else:
-            half, other = shape[m:], shape[:m]
-        half_rows = prod(half)
-        other_rows = prod(other)
-        total = model.blas_time(gemm_cost(half_rows, C, other_rows), threads)
-        total += model.stream_time(krp_cost(list(other), C), threads)
-        node_entries = half_rows * C
-        total += model.stream_time(
-            PhaseCost("gemv", 2.0 * node_entries, node_entries * 8.0, 0.0),
-            threads,
-        )
-        out["dimtree"] = total
-    return out
+    m = split_point(len(shape))
+    half, other = (shape[:m], shape[m:]) if n < m else (shape[m:], shape[:m])
+    node_entries = prod(half) * C
+    return AlgorithmCost("dimtree", (
+        gemm_cost(prod(half), C, prod(other)),
+        krp_cost(list(other), C),
+        PhaseCost("gemv", 2.0 * node_entries, node_entries * 8.0, 0.0),
+    ))
 
 
 def predict_krp_time(

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.dispatch import KERNELS
+
 __all__ = [
     "TuneKey",
     "TuneRecord",
@@ -150,9 +152,11 @@ class TuneRecord:
         Accepted verbatim by :func:`repro.core.dispatch.mttkrp` and the
         per-mode ``method`` list of :func:`repro.cpd.cp_als.cp_als`.
         """
-        side = self.kwargs.get("side")
-        if self.method == "twostep" and side in ("left", "right"):
-            return f"twostep:{side}"
+        spec = KERNELS.get(self.method)
+        if spec is not None:
+            for label, kwargs in spec.labels():
+                if kwargs and kwargs.items() <= self.kwargs.items():
+                    return label
         return self.method
 
     def to_json(self) -> dict:

@@ -1,18 +1,20 @@
 """Empirical kernel selection: measure the candidates, cache the winner.
 
 The paper's Section 5.3.3 policy ("1-step for external modes, 2-step for
-internal modes") is a static heuristic derived from one machine.  This
-repo has four real kernels — baseline, 1-step, 2-step (two orderings) and
-the dimension-tree node path — whose crossover points move with shape,
-rank, thread count, backend and dtype.  :func:`autotune` settles the
+internal modes") is a static heuristic derived from one machine.  The
+tunable rows of the kernel table (:data:`repro.core.dispatch.KERNELS`) —
+1-step, 2-step (two orderings), the dimension-tree node path and the
+baseline — have crossover points that move with shape, rank, thread
+count, backend and dtype.  :func:`autotune` settles the
 question the honest way: run each plausible candidate on the real
 operands (or a shape-faithful proxy when the tensor is large), take the
 best of a few repeats, and record the winner in the persisted
 :class:`~repro.tune.cache.TuningCache` so every later call with the same
 :class:`~repro.tune.cache.TuneKey` pays nothing.
 
-The analytic machine model (:func:`repro.machine.predict.predict_mttkrp_candidates`)
-acts as a **prior**, not an oracle: it orders the candidates so the
+The analytic machine model (each row's ``prior`` algorithm, scored by
+:func:`repro.machine.predict.predict_algorithm_time`) acts as a
+**prior**, not an oracle: it orders the candidates so the
 plausible ones are measured first, and prunes candidates it predicts to be
 worse than ``prune_ratio`` times the predicted best — those cannot
 plausibly win even with generous model error, so measuring them is wasted
@@ -44,13 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dimtree import mttkrp_dimtree
-from repro.core.mttkrp_baseline import mttkrp_baseline
-from repro.core.mttkrp_blocked import mttkrp_blocked
-from repro.core.mttkrp_onestep import mttkrp_onestep
-from repro.core.mttkrp_twostep import mttkrp_twostep
+from repro.core.dispatch import KERNELS
 from repro.machine.model import MachineModel, host_model_default
-from repro.machine.predict import predict_mttkrp_candidates
+from repro.machine.predict import predict_algorithm_time
 from repro.obs import get_tracer
 from repro.parallel.config import resolve_backend, resolve_threads, use_backend
 from repro.tensor.dense import DenseTensor
@@ -105,37 +103,23 @@ def is_degenerate(shape: Sequence[int]) -> bool:
 def candidate_set(shape: Sequence[int], n: int) -> list[Candidate]:
     """The runnable candidates for mode ``n`` of ``shape``.
 
-    External modes exclude the 2-step orderings (the 2-step algorithm
-    degenerates to the 1-step there — measuring it twice under different
-    names would only add noise).
+    The tunable, eligible rows of :data:`~repro.core.dispatch.KERNELS`,
+    one candidate per variant.  External modes therefore exclude the
+    2-step orderings (the 2-step algorithm degenerates to the 1-step
+    there — measuring it twice under different names would only add
+    noise).
     """
     shape = tuple(int(s) for s in shape)
-    N = len(shape)
-    n = check_mode(n, N)
+    n = check_mode(n, len(shape))
     if is_degenerate(shape):
         return [Candidate("onestep", "onestep")]
-    external = n == 0 or n == N - 1
-    cands = [Candidate("onestep", "onestep")]
-    if not external:
-        cands.append(
-            Candidate("twostep:left", "twostep", (("side", "left"),))
-        )
-        cands.append(
-            Candidate("twostep:right", "twostep", (("side", "right"),))
-        )
-    cands.append(Candidate("dimtree", "dimtree"))
-    cands.append(Candidate("blocked", "blocked"))
-    cands.append(Candidate("baseline", "baseline"))
-    return cands
+    return [
+        Candidate(label, spec.name, tuple(kwargs.items()))
+        for spec in KERNELS.values()
+        if spec.tunable and spec.eligible(shape, n)
+        for label, kwargs in spec.labels()
+    ]
 
-
-_RUNNERS = {
-    "onestep": mttkrp_onestep,
-    "twostep": mttkrp_twostep,
-    "blocked": mttkrp_blocked,
-    "baseline": mttkrp_baseline,
-    "dimtree": mttkrp_dimtree,
-}
 
 # Cache keys whose stale-record warning has already been emitted (one
 # warning per key per process keeps replay logs readable while still
@@ -169,13 +153,12 @@ def run_candidate(
     workspace=None,
 ) -> np.ndarray:
     """Execute one candidate on the given operands (no timing)."""
+    spec = KERNELS[candidate.method]
     kwargs = candidate.kwargs_dict()
-    if candidate.method == "dimtree":
+    if "workspace" in spec.env_kwargs:
         kwargs["workspace"] = workspace
-        kwargs["slot"] = "tune.dimtree"
-    return _RUNNERS[candidate.method](
-        tensor, list(factors), n, num_threads=num_threads, **kwargs
-    )
+        kwargs["slot"] = f"tune.{spec.name}"
+    return spec.run(tensor, list(factors), n, num_threads=num_threads, **kwargs)
 
 
 def proxy_operands(
@@ -258,7 +241,14 @@ def _prior_order(
     if model.cores < threads:
         model = model.with_cores(threads)
     try:
-        prior = predict_mttkrp_candidates(model, shape, n, rank, threads)
+        prior = {
+            c.label: predict_algorithm_time(
+                model, shape, n, rank, threads, KERNELS[c.method].prior,
+                **c.kwargs_dict(),
+            )[0]
+            for c in candidates
+            if KERNELS[c.method].prior is not None
+        }
     except (ValueError, KeyError):
         return candidates
     scored = sorted(

@@ -51,3 +51,17 @@ def _single_thread_default():
 
     with num_threads(1):
         yield
+
+
+def pytest_collection_modifyitems(config, items):
+    """Keep ``bench``-marked wall-clock tests out of the default run.
+
+    They assert on timings of a shared host, so they run only when the
+    marker expression names them explicitly (e.g. ``-m bench``).
+    """
+    if "bench" in config.option.markexpr:
+        return
+    bench = [item for item in items if item.get_closest_marker("bench")]
+    if bench:
+        config.hook.pytest_deselected(items=bench)
+        items[:] = [item for item in items if item not in bench]

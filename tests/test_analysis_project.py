@@ -1,4 +1,4 @@
-"""Project-level analyzer tests: call graph, dataflow, RA007–RA010,
+"""Project-level analyzer tests: call graph, dataflow, RA007,
 the suppression baseline ratchet, the incremental cache, and
 ``--changed`` mode.
 
@@ -18,11 +18,7 @@ import pytest
 
 from repro.analysis.baseline import check_baseline, write_baseline
 from repro.analysis.cache import LintCache
-from repro.analysis.callgraph import (
-    Project,
-    extract_dispatch_tables,
-    module_name_for,
-)
+from repro.analysis.callgraph import Project, module_name_for
 from repro.analysis.dataflow import (
     view_provenance,
     write_summaries,
@@ -55,40 +51,24 @@ class TestCallgraph:
             "repro.core.dispatch"
 
     def test_resolves_cross_module_calls(self):
-        files = collect_files([SRC / "core", SRC / "obs"])
-        p = Project.load(files, detect_root=False)
-        dispatch = p.modules["repro.core.dispatch"]
-        run = dispatch.functions["_run"]
-        callees = {c.qualname for c in p.callees(run)}
-        assert "repro.core.mttkrp_onestep.mttkrp_onestep" in callees
-        assert "repro.core.mttkrp_twostep.mttkrp_twostep" in callees
+        files = collect_files([SRC / "core", SRC / "cpd", SRC / "obs"])
+        p = Project.load(files)
+        cp_als = p.modules["repro.cpd.cp_als"].functions["cp_als"]
+        callees = {c.qualname for c in p.callees(cp_als)}
+        assert "repro.core.dispatch.mttkrp" in callees
+        assert "repro.core.dimtree.left_partial" in callees
 
     def test_reachable_is_transitive(self):
         files = collect_files([SRC])
-        p = Project.load(files, detect_root=False)
-        dispatch = p.modules["repro.core.dispatch"]
-        names = {f.qualname for f in p.reachable(dispatch.functions["mttkrp"])}
-        # mttkrp -> _run -> kernels -> their helpers.
-        assert "repro.core.dispatch._run" in names
-        assert any(".mttkrp_onestep" in n for n in names)
-        assert len(names) > 10
-
-    def test_extracts_real_dispatch_table(self):
-        files = collect_files([SRC])
-        p = Project.load(files, detect_root=False)
-        tables = extract_dispatch_tables(p, p.modules["repro.core.dispatch"])
-        assert len(tables) == 1
-        entries = tables[0].entries
-        assert set(entries) == {
-            "onestep", "onestep-seq", "twostep", "blocked", "dimtree",
-            "baseline",
+        p = Project.load(files)
+        onestep = p.modules["repro.core.mttkrp_onestep"]
+        names = {
+            f.qualname for f in p.reachable(onestep.functions["mttkrp_onestep"])
         }
-        assert entries["baseline"].name == "mttkrp_baseline"
-
-    def test_aux_sources_loaded_from_repo_root(self):
-        p = Project.load([SRC / "core" / "dispatch.py"])
-        assert any("test_oracle" in m.name for m in p.aux_modules)
-        assert "MTTKRP" in p.docs_text
+        # mttkrp_onestep -> _onestep_internal -> krp helpers -> ...
+        assert "repro.core.mttkrp_onestep._onestep_internal" in names
+        assert any(n.startswith("repro.core.krp.") for n in names)
+        assert len(names) > 10
 
 
 # --------------------------------------------------------------------- #
@@ -165,8 +145,6 @@ class TestProjectRuleFixtures:
     @pytest.mark.parametrize("rule_id", PROJECT_RULE_IDS)
     def test_positive_fixture_fires(self, rule_id):
         name = f"{rule_id.lower()}_pos.py"
-        # RA010's surfaces are cross-module: lint the pos/neg pair so a
-        # tuner/bench surface exists in the project at all.
         names = [name, f"{rule_id.lower()}_neg.py"]
         hits = project_findings_for(names, rule_id)
         assert hits, f"{name} produced no {rule_id} findings"
@@ -192,48 +170,15 @@ class TestProjectRuleFixtures:
         assert "unpartitioned alias" in msgs
         assert "_fill_header" in msgs
 
-    def test_ra009_names_kernel_and_method(self):
-        hits = project_findings_for(["ra009_pos.py"], "RA009")
-        assert len(hits) == 2
-        assert any("'fast'" in f.message for f in hits)
-        assert any("'slow'" in f.message for f in hits)
-
-    def test_ra010_reports_each_missing_surface(self):
-        hits = project_findings_for(
-            ["ra010_pos.py", "ra010_neg.py"], "RA010",
-        )
-        surfaces = {f.message.split("the ")[1].split(" surface")[0]
-                    for f in hits}
-        assert surfaces == {"oracle", "tuner", "bench", "docs"}
-        # Findings anchor on the tuple element lines, where a
-        # suppression comment would go.
-        lines = {f.line for f in hits}
-        assert len(lines) == 2
-
-    def test_ra010_suppression_on_tuple_line(self, tmp_path):
-        src = (FIXTURES / "ra010_pos.py").read_text()
-        # A directive on line N also covers N+1, so keep a spacer line
-        # between the elements to suppress only quuxstep.
-        src = src.replace(
-            '    "quuxstep",',
-            '    "quuxstep",  # repro: ignore[RA010]\n    # (spacer)',
-        )
-        p = tmp_path / "ra010_sup.py"
-        p.write_text(src)
-        found = [f for f in lint_project([p]) if f.rule == "RA010"]
-        quux = [f for f in found if "quuxstep" in f.message]
-        zorb = [f for f in found if "zorbstep" in f.message]
-        assert quux and all(f.suppressed for f in quux)
-        assert zorb and not any(f.suppressed for f in zorb)
-
     def test_get_project_rules_filter(self):
-        assert [r.id for r in get_project_rules(["RA009"])] == ["RA009"]
+        assert [r.id for r in get_project_rules(["RA007"])] == ["RA007"]
+        assert get_project_rules(["RA001"]) == ()
         assert [r.id for r in get_project_rules(None)] == PROJECT_RULE_IDS
 
     def test_lint_paths_merges_project_findings(self):
         found = lint_paths([FIXTURES])
         ids = {f.rule for f in found}
-        assert {"RA007", "RA008", "RA009", "RA010"} <= ids
+        assert {"RA007", "RA008"} <= ids
 
 
 # --------------------------------------------------------------------- #
@@ -246,13 +191,13 @@ class TestBaselineRatchet:
         bl = tmp_path / "baseline.json"
         payload = write_baseline(bl, findings)
         assert payload["total"] > 0
-        assert payload["by_rule"].get("RA010", 0) >= 8
+        assert payload["by_rule"].get("RA007", 0) >= 2
 
         ok, problems = check_baseline(bl, findings)
         assert ok, problems
 
         # Fewer findings: still ok, nudges toward re-writing.
-        fewer = [f for f in findings if f.rule != "RA010"]
+        fewer = [f for f in findings if f.rule != "RA007"]
         ok, problems = check_baseline(bl, fewer)
         assert ok
         assert any("went down" in p for p in problems)
@@ -264,10 +209,10 @@ class TestBaselineRatchet:
     def test_new_rule_counts_as_regression(self, tmp_path):
         findings = lint_paths([FIXTURES])
         bl = tmp_path / "baseline.json"
-        write_baseline(bl, [f for f in findings if f.rule != "RA009"])
+        write_baseline(bl, [f for f in findings if f.rule != "RA007"])
         ok, problems = check_baseline(bl, findings)
         assert not ok
-        assert any("RA009" in p for p in problems)
+        assert any("RA007" in p for p in problems)
 
     def test_missing_baseline_fails_closed(self, tmp_path):
         ok, problems = check_baseline(tmp_path / "nope.json", [])

@@ -31,21 +31,7 @@ def test_suppressions_in_tree_are_the_known_ones():
     }
     assert suppressed == {
         ("mttkrp_twostep.py", "RA004"),
-        # onestep-seq is deliberately absent from the autotuner candidate
-        # set (strictly dominated by "onestep"); see the comment on its
-        # MTTKRP_METHODS line in core/dispatch.py.
-        ("dispatch.py", "RA010"),
     }
-
-
-def test_blocked_kernel_is_suppression_free():
-    # The blocked kernel family (PR 7) is pinned analyzer-clean with zero
-    # suppressions of its own: every shared write goes through
-    # partition-derived indices, every BLAS-facing allocation states its
-    # order.  A future edit that needs a suppression here must instead
-    # restructure the kernel (or argue its case in the inventory above).
-    findings = lint_paths([SRC / "core" / "mttkrp_blocked.py"])
-    assert findings == [], "\n" + render_text(findings)
 
 
 def test_analyzer_sees_the_whole_tree():
@@ -57,7 +43,6 @@ def test_analyzer_sees_the_whole_tree():
     names = {f.name for f in files}
     assert {
         "pool.py", "shm.py", "mttkrp_onestep.py", "workspace.py", "dimtree.py",
-        "mttkrp_blocked.py",
     } <= names
     # The autotuner tree is linted too (and, per the suppression
     # inventory above, contributes zero suppressions of its own).

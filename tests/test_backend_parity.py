@@ -10,7 +10,7 @@ results.  Every test here compares full MTTKRP / CP-ALS outputs with
 import numpy as np
 import pytest
 
-from repro.core.dispatch import mttkrp
+from repro.core.dispatch import KERNELS, mttkrp
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.cpd.cp_als import cp_als
 from repro.parallel.backend import get_executor, shutdown_all_executors
@@ -40,9 +40,7 @@ def run_both(fn):
 
 
 class TestMTTKRPParity:
-    @pytest.mark.parametrize(
-        "method", ["onestep", "onestep-seq", "twostep", "blocked", "baseline"]
-    )
+    @pytest.mark.parametrize("method", list(KERNELS))
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_bit_identical(self, problem, method, mode):
         tensor, factors = problem

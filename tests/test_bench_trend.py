@@ -1,14 +1,12 @@
-"""Tests for the regression tracker and the legacy-results migration."""
+"""Tests for the regression tracker and its committed baselines."""
 
 import json
 import os
-import shutil
 
 import pytest
 
 from repro.bench.cli import main as cli_main
 from repro.bench.env import host_class_of
-from repro.bench.migrate import migrate_results
 from repro.bench.schema import load_history, new_record, write_results
 from repro.bench.trend import (
     EXIT_OK,
@@ -171,8 +169,8 @@ class TestTrendCLI:
                       [_rec("fig5", "a", 1.0)])
         current = tmp_path / "current.bench.json"
         write_results(str(current), [
-            _rec("blocked", "n0/blocked/T1", 1e6),  # absurdly slow
-            _rec("blocked", "n1/blocked/T1", 1e6),
+            _rec("newsuite", "n0/T1", 1e6),  # absurdly slow
+            _rec("newsuite", "n1/T1", 1e6),
         ])
         json_out = tmp_path / "trend.json"
         code = cli_main([
@@ -188,7 +186,7 @@ class TestTrendCLI:
         assert "2 without baseline" in capsys.readouterr().out
         # Same distinction at the compare() level.
         result = compare(
-            [_rec("blocked", "n0/blocked/T1", 1e6)],
+            [_rec("newsuite", "n0/T1", 1e6)],
             [_rec("fig5", "a", 1.0)],
         )
         assert [c.status for c in result.comparisons] == ["no-baseline"]
@@ -222,34 +220,17 @@ class TestTrendCLI:
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARCHIVE = os.path.join(REPO_ROOT, "results", "archive")
 
 
-@pytest.mark.skipif(not os.path.isdir(ARCHIVE),
-                    reason="legacy archive not present")
 class TestMigration:
-    def _migrate(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        for name in os.listdir(ARCHIVE):
-            shutil.copy(os.path.join(ARCHIVE, name), results / name)
-        written = migrate_results(str(results))
-        return results, written
+    # results/{backend,dimtree,tune}.bench.json were converted once from
+    # the legacy layouts; trend must keep loading them as comparable
+    # baselines, with their provenance intact.
+    def _history(self):
+        return load_history(os.path.join(REPO_ROOT, "results"))
 
-    def test_converts_all_three(self, tmp_path):
-        results, written = self._migrate(tmp_path)
-        assert {os.path.basename(p) for p in written} == {
-            "backend.bench.json", "dimtree.bench.json", "tune.bench.json",
-        }
-        # originals archived, not deleted
-        archived = os.listdir(results / "archive")
-        assert sorted(archived) == [
-            "BENCH_backend.json", "BENCH_dimtree.json", "BENCH_tune.json",
-        ]
-
-    def test_migrated_records_are_loadable_baselines(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        history = load_history(str(results))
+    def test_migrated_records_are_loadable_baselines(self):
+        history = self._history()
         assert len(history) >= 20
         baselines = select_baselines(history, "best")
         # the legacy 1-CPU container records must be trend-comparable
@@ -261,19 +242,13 @@ class TestMigration:
         assert ("pool-overhead", "backend-krp/thread/T2",
                 "x86_64-1cpu") in baselines
 
-    def test_migrated_context_keeps_provenance(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        history = load_history(str(results))
+    def test_migrated_context_keeps_provenance(self):
+        history = self._history()
         rec = next(r for r in history if r["benchmark"] == "autotune")
         assert rec["context"]["source"] == "migrated"
         assert rec["context"]["legacy_file"] == "BENCH_tune.json"
 
-    def test_idempotent(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        assert migrate_results(str(results)) == []
-
     def test_committed_results_dir_is_migrated(self):
         # the repo's own results/ must already hold the normalized files
-        history = load_history(os.path.join(REPO_ROOT, "results"))
-        names = {r["benchmark"] for r in history}
+        names = {r["benchmark"] for r in self._history()}
         assert {"pool-overhead", "dimtree", "autotune"} <= names

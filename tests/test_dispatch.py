@@ -30,19 +30,17 @@ class TestDispatch:
 
     def test_auto_uses_paper_policy(self, monkeypatch):
         """auto = 1-step external, 2-step internal (Section 5.3.3)."""
+        import dataclasses
+
         import repro.core.dispatch as d
 
         calls = []
-        monkeypatch.setattr(
-            d,
-            "mttkrp_onestep",
-            lambda *a, **k: calls.append("onestep") or np.zeros((1, 1)),
-        )
-        monkeypatch.setattr(
-            d,
-            "mttkrp_twostep",
-            lambda *a, **k: calls.append("twostep") or np.zeros((1, 1)),
-        )
+        for name in ("onestep", "twostep"):
+            monkeypatch.setitem(d.KERNELS, name, dataclasses.replace(
+                d.KERNELS[name],
+                entry=lambda *a, name=name, **k:
+                    calls.append(name) or np.zeros((1, 1)),
+            ))
         X, U = _case()
         for n in range(3):
             mttkrp(X, U, n, method="auto")
@@ -87,6 +85,23 @@ class TestDispatch:
         X, U = _case()
         with pytest.raises(ValueError, match="unknown method"):
             mttkrp(X, U, 0, method="threestep")
+        with pytest.raises(ValueError, match="unknown method"):
+            mttkrp(X, U, 1, method="twostep:middle")
+
+    def test_removed_blocked_method_is_rejected(self):
+        # The cache-blocked kernel was deleted; its name must fail loudly
+        # and point at the methods that exist.
+        from repro.cpd.cp_als import cp_als
+
+        X, U = _case()
+        for call in (
+            lambda: mttkrp(X, U, 1, method="blocked"),
+            lambda: cp_als(X, 2, n_iter_max=1, method="blocked"),
+        ):
+            with pytest.raises(ValueError, match="unknown method") as info:
+                call()
+            for name in MTTKRP_METHODS:
+                assert repr(name) in str(info.value)
 
     def test_negative_mode(self):
         X, U = _case()

@@ -5,6 +5,11 @@ here the same model *form*, calibrated to this host, must predict this
 host's measured single-thread MTTKRP times within a loose factor.  This is
 the strongest evidence available on this hardware that the model's shapes
 are physical rather than curve-fit artifacts.
+
+The measured comparisons time medians of 3 wall-clock runs in a shared
+container, so they are ``bench``-marked: deselected from the default
+``pytest`` run and selected with ``-m bench``.  The modeled ordering is
+deterministic and stays in the default run.
 """
 
 import pytest
@@ -24,6 +29,7 @@ def host():
     return calibrate_host_model(stream_entries=4_000_000, gemm_size=384)
 
 
+@pytest.mark.bench
 @pytest.mark.parametrize(
     "shape,n,algo",
     [
@@ -62,6 +68,16 @@ def test_relative_ordering_preserved(host):
     """The model must get the *ordering* right on the host: sequential
     2-step <= 1-step for an internal mode (the paper's Figure 5 ordering)."""
     shape = (64, 64, 64, 64)
+    p_two, _ = predict_algorithm_time(host, shape, 1, 25, 1, "twostep")
+    p_one, _ = predict_algorithm_time(host, shape, 1, 25, 1, "onestep")
+    assert p_two <= p_one  # modeled ordering
+
+
+@pytest.mark.bench
+def test_measured_ordering_preserved():
+    """The host's measured ordering matches the modeled one (noise margin
+    included): sequential 2-step <= 1-step for an internal mode."""
+    shape = (64, 64, 64, 64)
     X = random_tensor(shape, rng=2)
     U = random_factors(shape, 25, rng=3)
     m_two = median_time(
@@ -70,7 +86,4 @@ def test_relative_ordering_preserved(host):
     m_one = median_time(
         lambda: mttkrp(X, U, 1, method="onestep", num_threads=1), repeats=3
     )
-    p_two, _ = predict_algorithm_time(host, shape, 1, 25, 1, "twostep")
-    p_one, _ = predict_algorithm_time(host, shape, 1, 25, 1, "onestep")
     assert m_two <= m_one * 1.2  # measured ordering (with noise margin)
-    assert p_two <= p_one  # modeled ordering

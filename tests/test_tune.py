@@ -59,7 +59,7 @@ class TestCandidates:
         labels = {c.label for c in candidate_set((4, 5, 6), 1)}
         assert labels == {
             "onestep", "twostep:left", "twostep:right", "dimtree",
-            "blocked", "baseline",
+            "baseline",
         }
 
     def test_external_mode_excludes_twostep(self):
@@ -67,7 +67,7 @@ class TestCandidates:
         # measuring it separately would only duplicate a candidate.
         for n in (0, 2):
             labels = {c.label for c in candidate_set((4, 5, 6), n)}
-            assert labels == {"onestep", "dimtree", "blocked", "baseline"}
+            assert labels == {"onestep", "dimtree", "baseline"}
 
     def test_two_way_is_degenerate(self):
         assert is_degenerate((7, 9))

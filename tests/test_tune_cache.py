@@ -118,9 +118,7 @@ class TestTolerantLoads:
             cache = TuningCache(path)
         X, U = _problem()
         record = autotune(X, U, 1, num_threads=1, cache=cache, repeats=1)
-        assert record.method in (
-            "onestep", "twostep", "dimtree", "blocked", "baseline"
-        )
+        assert record.method in ("onestep", "twostep", "dimtree", "baseline")
         assert record.times  # measured, not served from the broken file
         assert json.loads(path.read_text())["version"] == 1
 
@@ -311,44 +309,54 @@ class TestStaleRecords:
         from repro.core.dispatch import mttkrp
         from repro.core.mttkrp_baseline import mttkrp_baseline
 
-        shape = (5, 7, 4)
-        path = tmp_path / "tune.json"
-        key = self._stale_file(path, shape, "fused-v99")
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
-        reset_cache()
-        try:
-            X, U = _problem(shape=shape)
-            tracer = obs.enable()
-            try:
-                with pytest.warns(TuneCacheWarning, match="fused-v99"):
-                    out = mttkrp(
-                        X, U, 1, method="autotune",
-                        num_threads=1, backend="thread",
-                    )
-            finally:
-                obs.disable()
-            np.testing.assert_allclose(
-                out, mttkrp_baseline(X, U, 1), atol=1e-10
-            )
-            assert obs.counter_total(tracer, "tune.cache_stale") == 1
-            # The stale entry was overwritten with a runnable decision.
-            replaced = get_cache().get(key)
-            assert replaced is not None and replaced.method != "fused-v99"
-            # Second call: clean hit, no measurement, no further warning.
-            tracer2 = obs.enable()
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", TuneCacheWarning)
-                    mttkrp(
-                        X, U, 1, method="autotune",
-                        num_threads=1, backend="thread",
-                    )
-            finally:
-                obs.disable()
-            assert obs.counter_total(tracer2, "tune.cache_hit") == 1
-            assert obs.counter_total(tracer2, "tune.measure") == 0
-        finally:
+        # "fused-v99" was never a kernel; "blocked" is one this package
+        # used to ship and has since deleted.  Both are misses.
+        for stale, shape in (("fused-v99", (5, 7, 4)), ("blocked", (5, 6, 4))):
+            path = tmp_path / f"{stale}.json"
+            key = self._stale_file(path, shape, stale)
+            monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
             reset_cache()
+            try:
+                X, U = _problem(shape=shape)
+                tracer = obs.enable()
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        out = mttkrp(
+                            X, U, 1, method="autotune",
+                            num_threads=1, backend="thread",
+                        )
+                finally:
+                    obs.disable()
+                stale_warnings = [
+                    w for w in caught
+                    if issubclass(w.category, TuneCacheWarning)
+                ]
+                assert len(stale_warnings) == 1
+                assert repr(stale) in str(stale_warnings[0].message)
+                np.testing.assert_allclose(
+                    out, mttkrp_baseline(X, U, 1), atol=1e-10
+                )
+                assert obs.counter_total(tracer, "tune.cache_stale") == 1
+                assert obs.counter_total(tracer, "tune.measure") > 0
+                # The stale entry was overwritten with a runnable decision.
+                replaced = get_cache().get(key)
+                assert replaced is not None and replaced.method != stale
+                # Second call: clean hit, no measurement, no further warning.
+                tracer2 = obs.enable()
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", TuneCacheWarning)
+                        mttkrp(
+                            X, U, 1, method="autotune",
+                            num_threads=1, backend="thread",
+                        )
+                finally:
+                    obs.disable()
+                assert obs.counter_total(tracer2, "tune.cache_hit") == 1
+                assert obs.counter_total(tracer2, "tune.measure") == 0
+            finally:
+                reset_cache()
 
     def test_ineligible_twostep_for_external_mode_is_stale(self, tmp_path):
         # A 2-step ordering recorded for an external-mode key is not in
@@ -368,5 +376,5 @@ class TestStaleRecords:
                 X, U, 0, num_threads=1, backend="thread",
                 cache=cache, repeats=1,
             )
-        assert record.label in ("onestep", "dimtree", "blocked", "baseline")
+        assert record.label in ("onestep", "dimtree", "baseline")
         assert cache.get(key).label == record.label
