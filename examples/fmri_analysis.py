@@ -6,8 +6,8 @@ Pipeline (all synthetic, see DESIGN.md for the substitution argument):
 
 1. generate a time x subject x region x region correlation tensor from
    planted networks (+ noise);
-2. decompose the 4-way tensor with CP-ALS using the paper's per-mode
-   MTTKRP policy;
+2. decompose the 4-way tensor with CP-ALS (by default each iteration
+   runs the dimension tree: two partial contractions shared by all modes);
 3. repeat on the paper's symmetric 3-way linearization
    (time x subject x region-pair);
 4. verify the planted networks are recovered (factor match score) and

@@ -62,6 +62,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.flops import gemm_cost, node_mttkrp_cost
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.obs import get_tracer
 from repro.parallel.backend import Executor, get_executor
@@ -204,11 +205,13 @@ def left_partial(
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.left.node", (C * size_l,), dt)
     node2d = node.reshape(C, size_l)
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="left"):
+    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="left") as sp:
         # Transposed GEMM so the C-contiguous output is the natural layout
         # of the node (same trick as mttkrp_twostep).
         np.matmul(KR.T, tensor.unfold_front(m - 1).T, out=node2d)
         tr.add_counter("gemm_calls", 1)
+        if tr.enabled:
+            _add_cost(sp, gemm_cost(size_l, C, rows))
     return DenseTensor(node, tensor.shape[:m] + (C,))
 
 
@@ -241,10 +244,19 @@ def right_partial(
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.right.node", (C * size_r,), dt)
     node2d = node.reshape(C, size_r)
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="right"):
+    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="right") as sp:
         np.matmul(KL.T, tensor.unfold_front(m - 1), out=node2d)
         tr.add_counter("gemm_calls", 1)
+        if tr.enabled:
+            _add_cost(sp, gemm_cost(size_r, C, rows))
     return DenseTensor(node, tensor.shape[m:] + (C,))
+
+
+def _add_cost(span, cost) -> None:
+    """Put one phase's analytic flop and byte counts on its span."""
+    span.add("flops", cost.flops)
+    span.add("bytes_read", cost.read_bytes)
+    span.add("bytes_written", cost.write_bytes)
 
 
 # --------------------------------------------------------------------- #
@@ -428,8 +440,7 @@ def node_mttkrp(
         dt_r = np.result_type(node.dtype, KRT.dtype) if right else node.dtype
         dt_o = np.result_type(dt_r, KLT.dtype) if left else dt_r
         if tr.enabled:
-            sp.add("flops", 2.0 * C * DL * d_keep * (DR if right else 0)
-                   + (2.0 * C * DL * d_keep if left else 0.0))
+            _add_cost(sp, node_mttkrp_cost(dims, keep, C))
 
         use_parallel = T > 1 and ex is not None and (right or left)
         if use_parallel and right:

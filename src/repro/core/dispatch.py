@@ -64,7 +64,8 @@ class KernelSpec:
     cost_kind:
         Kind passed to :func:`repro.core.flops.record_mttkrp_cost` after
         each traced call; ``None`` for kernels whose nested spans carry
-        their own counters.
+        their own flop/byte counters (the call then records only
+        ``bytes_lower_bound``).
     prior:
         Algorithm name given to
         :func:`repro.machine.predict.predict_algorithm_time` for the
@@ -109,11 +110,10 @@ class KernelSpec:
             tensor, factors, n, num_threads=num_threads, timers=timers,
             **kwargs,
         )
-        if self.cost_kind is not None:
-            record_mttkrp_cost(
-                get_tracer(), tensor.shape, n, int(out.shape[1]),
-                self.cost_kind, resolve_threads(num_threads),
-            )
+        record_mttkrp_cost(
+            get_tracer(), tensor.shape, n, int(out.shape[1]),
+            self.cost_kind, resolve_threads(num_threads),
+        )
         return out
 
 
@@ -291,9 +291,9 @@ def mttkrp(
             f"mttkrp.{spec.name}", mode=n, shape=list(tensor.shape),
             autotuned=autotuned,
         ) as span:
-            # The row's runner attaches the analytic flop/byte counters to
-            # this open span; the dimtree path's phases carry theirs on
-            # the nested partial/node spans.
+            # The row's runner attaches the analytic flop/byte counters
+            # and the lower bound to this open span; the dimtree path's
+            # phases carry their flops/bytes on the nested gemm/node spans.
             out = spec.run(tensor, factors, n, num_threads, timers, **kwargs)
             span.args["rank"] = int(out.shape[1])
             return out

@@ -36,6 +36,7 @@ __all__ = [
     "gemm_lower_bound_cost",
     "mttkrp_comm_lower_bound",
     "multi_ttv_cost",
+    "node_mttkrp_cost",
     "record_mttkrp_cost",
 ]
 
@@ -182,6 +183,34 @@ def multi_ttv_cost(out_dim: int, inner: int, C: int) -> PhaseCost:
         float(C * (out_dim * inner + inner) * _DOUBLE),
         float(C * out_dim * _DOUBLE),
         gemm_shape=(out_dim, 1, inner),
+    )
+
+
+def node_mttkrp_cost(dims: Sequence[int], keep: int, C: int) -> PhaseCost:
+    """Dimension-tree node MTTKRP (:func:`repro.core.dimtree.node_mttkrp`).
+
+    The node ``(d_0, ..., d_{k-1}, C)`` is contracted against the
+    Kronecker panels of the modes right of ``keep`` (``DR`` rows) and then
+    left of it (``DL`` rows), for all ``C`` rank columns at once.  When
+    both sides are present the ``(C, DL, d_keep)`` intermediate is
+    written by the first contraction and read by the second.
+    """
+    dims = [int(d) for d in dims]
+    C = int(C)
+    d_keep = dims[keep]
+    DL = prod(dims[:keep])
+    DR = prod(dims[keep + 1:])
+    right = keep < len(dims) - 1
+    left = keep > 0
+    flops = 2.0 * C * DL * d_keep * (DR if right else 0)
+    flops += 2.0 * C * DL * d_keep if left else 0.0
+    panels = C * ((DR if right else 0) + (DL if left else 0))
+    inter = C * DL * d_keep if right and left else 0
+    return PhaseCost(
+        "node",
+        flops,
+        float((prod(dims) * C + panels + inter) * _DOUBLE),
+        float((d_keep * C + inter) * _DOUBLE),
     )
 
 
@@ -386,7 +415,7 @@ def record_mttkrp_cost(
     shape: Sequence[int],
     n: int,
     rank: int,
-    kind: str,
+    kind: str | None,
     num_threads: int = 1,
     cache_bytes: float | None = None,
     batch: int = 1,
@@ -403,6 +432,10 @@ def record_mttkrp_cost(
     data-movement floor for this (shape, mode, rank) — so any traced run
     can report its achieved-vs-lower-bound byte ratio.
 
+    ``kind=None`` records only ``bytes_lower_bound``: the dimension-tree
+    paths put their flop/byte counts on their nested partial-GEMM and
+    node spans, and call this once per mode update for the bound.
+
     ``batch`` scales the batched kind (``kind="batched"``, both the
     stacked and loop lanes of :mod:`repro.batch.mttkrp`) and the lower
     bound by the number of stacked items; single-tensor kinds leave it
@@ -417,7 +450,9 @@ def record_mttkrp_cost(
         from repro.machine.model import host_model_default
 
         cache_bytes = float(host_model_default().cache_bytes)
-    if kind == "onestep":
+    if kind is None:
+        cost = None
+    elif kind == "onestep":
         cost = onestep_cost(shape, n, rank, num_threads)
     elif kind == "onestep-seq":  # Algorithm 2 always runs sequentially
         cost = onestep_cost(shape, n, rank, 1)
@@ -429,9 +464,12 @@ def record_mttkrp_cost(
         cost = batched_cost(shape, n, rank, batch, num_threads)
     else:
         raise ValueError(f"unknown cost kind {kind!r}")
-    tracer.add_counter("flops", cost.flops)
-    tracer.add_counter("bytes_read", sum(p.read_bytes for p in cost.phases))
-    tracer.add_counter("bytes_written", sum(p.write_bytes for p in cost.phases))
+    if cost is not None:
+        tracer.add_counter("flops", cost.flops)
+        tracer.add_counter("bytes_read", sum(p.read_bytes for p in cost.phases))
+        tracer.add_counter(
+            "bytes_written", sum(p.write_bytes for p in cost.phases)
+        )
     tracer.add_counter(
         "bytes_lower_bound",
         float(batch)

@@ -3,17 +3,20 @@
 Each factor update consists of the three operations the paper lists:
 
 1. MTTKRP: ``M = X_(n) (U_{N-1} krp ... krp U_{n+1} krp U_{n-1} ... U_0)``,
-   dispatched to the best algorithm per mode (1-step for external modes,
-   2-step for internal modes — the paper's Section 5.3.3 policy);
+   by default from the dimension tree (two partial contractions per
+   iteration shared by all modes, :mod:`repro.core.dimtree`), or per mode
+   with the best algorithm (1-step for external modes, 2-step for
+   internal modes — the paper's Section 5.3.3 policy);
 2. Gram/Hadamard: ``H = (*)_{k != n} U_k^T U_k`` (cached, single-mode
    refresh);
 3. linear solve: ``U_n = M H^+``.
 
 Since MTTKRP dominates (``O(I C)`` vs ``O(C^2 sum I_k)`` and ``O(C^3)``),
-per-iteration time is essentially ``N`` MTTKRPs — which is what Figure 7
-measures.  The fit is computed per iteration by *reusing the final mode's
-MTTKRP* (standard trick, also used by Tensor Toolbox), so convergence
-checking adds no extra pass over the tensor.
+per-iteration time is essentially ``N`` MTTKRPs under the per-mode
+strategy — which is what Figure 7 measures — or two tensor passes under
+the dimension tree.  The fit is computed per iteration by *reusing the
+final mode's MTTKRP* (standard trick, also used by Tensor Toolbox), so
+convergence checking adds no extra pass over the tensor.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.dimtree import (
+    left_partial,
+    node_mttkrp,
+    right_partial,
+    split_point,
+)
 from repro.core.dispatch import mttkrp
+from repro.core.flops import record_mttkrp_cost
 from repro.cpd.gram import GramCache
 from repro.obs import get_tracer
 from repro.cpd.init import initialize_factors
@@ -98,7 +108,7 @@ def cp_als(
     tol: float = 1e-8,
     init: str | Sequence[np.ndarray] = "random",
     method: str | Sequence[str] = "auto",
-    mode_strategy: str = "per-mode",
+    mode_strategy: str = "auto",
     num_threads: int | None = None,
     backend: str | None = None,
     rng: np.random.Generator | int | None = None,
@@ -124,21 +134,28 @@ def cp_als(
     init:
         ``"random"``, ``"hosvd"``, or explicit initial factor matrices.
     method:
-        MTTKRP method passed to :func:`repro.core.dispatch.mttkrp`
-        (``"auto"`` = the paper's per-mode policy; ``"baseline"`` gives the
-        Tensor-Toolbox-style comparison point), or a sequence of one
-        method spec per mode (spec forms like ``"twostep:left"``
-        allowed) — the shape ``result.tuning`` picks replay as.  Ignored
-        when ``mode_strategy="dimtree"`` (a string is tolerated there; a
+        MTTKRP method passed to :func:`repro.core.dispatch.mttkrp` by
+        per-mode runs (``"auto"`` = the paper's per-mode policy;
+        ``"baseline"`` gives the Tensor-Toolbox-style comparison point),
+        or a sequence of one method spec per mode (spec forms like
+        ``"twostep:left"`` allowed) — the shape ``result.tuning`` picks
+        replay as.  Any value other than ``"auto"`` pins the kernel, so
+        ``mode_strategy="auto"`` runs per-mode.  Ignored when
+        ``mode_strategy="dimtree"`` (a string is tolerated there; a
         per-mode list is an error) and when ``tune=True``.
     mode_strategy:
-        ``"per-mode"`` — one independent MTTKRP per mode per iteration
-        (the paper's implementation); ``"dimtree"`` — the Phan et al.
-        Section III.C extension the paper's conclusion proposes: two
-        partial contractions per iteration shared across all modes (see
-        :mod:`repro.core.dimtree`), cutting the dominant GEMM count from
-        ``N`` to 2.  Both strategies produce mathematically identical
-        iterates.
+        ``"dimtree"`` — the Phan et al. Section III.C extension the
+        paper's conclusion proposes: two partial contractions per
+        iteration shared across all modes (see
+        :mod:`repro.core.dimtree`), cutting the passes over the tensor
+        from ``N`` to 2; ``"per-mode"`` — one independent MTTKRP per mode
+        per iteration (the paper's implementation); ``"auto"`` (the
+        default) — ``"dimtree"`` when ``method="auto"``, ``tune=False``
+        and ``N >= 3``, ``"per-mode"`` otherwise, so a caller that names
+        a kernel, passes a per-mode list or tunes gets exactly that.  Both
+        strategies produce mathematically identical iterates (equal to
+        roundoff, not bitwise).  The ``cp_als`` trace span records the
+        resolved strategy.
     num_threads:
         Thread count for the MTTKRP kernels.
     backend:
@@ -153,14 +170,14 @@ def cp_als(
     workspace:
         Optional :class:`~repro.parallel.workspace.Workspace` for
         iteration-reused buffers: the dimtree strategy's node buffers,
-        KRP panels and per-worker private outputs, the autotuner's
-        measurement scratch (released after tuning so it does not
-        pollute the arena), and any per-mode ``"dimtree"`` picks.  By
-        default one is created internally and closed when the run
-        finishes; pass your own to inspect its allocation stats (after
-        warm-up, iterations allocate nothing) or to share buffers across
-        runs on equal shapes.  Ignored by plain ``mode_strategy="per-mode"``
-        runs that neither tune nor use a dimtree pick.
+        KRP panels and per-worker private outputs (so default runs use
+        it), the autotuner's measurement scratch (released after tuning
+        so it does not pollute the arena), and any per-mode ``"dimtree"``
+        picks.  By default one is created internally and closed when the
+        run finishes; pass your own to inspect its allocation stats
+        (after warm-up, iterations allocate nothing) or to share buffers
+        across runs on equal shapes.  Ignored by per-mode runs that
+        neither tune nor use a dimtree pick.
     tune:
         Run the empirical autotuner (:func:`repro.tune.autotune`) once
         per mode before the iteration loop and use its picks for every
@@ -217,9 +234,17 @@ def cp_als(
     norm_x = tensor.norm()
     if norm_x == 0.0:
         raise ValueError("cannot decompose a zero tensor")
-    if mode_strategy not in ("per-mode", "dimtree"):
+    if mode_strategy == "auto":
+        # The dimension tree unless the caller pinned a kernel (a named
+        # method, a per-mode list or the tuner's picks); order 2 has no
+        # partial to share.
+        unpinned = isinstance(method, str) and method == "auto"
+        mode_strategy = (
+            "dimtree" if unpinned and not tune and N >= 3 else "per-mode"
+        )
+    elif mode_strategy not in ("per-mode", "dimtree"):
         raise ValueError(
-            f"mode_strategy must be 'per-mode' or 'dimtree', "
+            f"mode_strategy must be 'auto', 'per-mode' or 'dimtree', "
             f"got {mode_strategy!r}"
         )
     if isinstance(method, str):
@@ -261,6 +286,22 @@ def cp_als(
             factors[n] /= weights
         grams.update(n)
 
+    def update_half(node, lo: int, hi: int, slot: str, it: int) -> np.ndarray:
+        """Dimension tree: update modes ``lo..hi-1`` from their partial."""
+        for n in range(lo, hi):
+            with tracer.span(f"mode[{n}]"):
+                M = node_mttkrp(
+                    node, factors[lo:hi], keep=n - lo,
+                    num_threads=num_threads, timers=timers,
+                    executor=executor, workspace=ws,
+                    slot=f"{slot}[{n - lo}]",
+                )
+                update_mode(n, M, it)
+                # The partial GEMM and node spans hold the flops and
+                # bytes; the lower bound is recorded per mode update.
+                record_mttkrp_cost(tracer, tensor.shape, n, rank, None)
+        return M
+
     backend_scope = use_backend(backend) if backend is not None else nullcontext()
     with backend_scope, tracer.span(
         "cp_als",
@@ -293,15 +334,7 @@ def cp_als(
             executor = get_executor(T) if T > 1 else None
             ws = workspace if workspace is not None else Workspace(executor)
             own_ws = workspace is None
-        if mode_strategy == "dimtree":
-            from repro.core.dimtree import (
-                left_partial,
-                node_mttkrp,
-                right_partial,
-                split_point,
-            )
-
-            m = split_point(N)
+        m = split_point(N)  # the dimension tree's left-half mode count
         mode_kwargs: list[dict] = [{} for _ in range(N)]
         if tune:
             # Tune once, before the loop; every iteration then replays
@@ -360,15 +393,7 @@ def cp_als(
                                 num_threads=num_threads, timers=timers,
                                 executor=executor, workspace=ws,
                             )
-                        for n in range(m):
-                            with tracer.span(f"mode[{n}]"):
-                                M = node_mttkrp(
-                                    T_L, factors[:m], keep=n,
-                                    num_threads=num_threads, timers=timers,
-                                    executor=executor, workspace=ws,
-                                    slot=f"nodeL[{n}]",
-                                )
-                                update_mode(n, M, it)
+                        update_half(T_L, 0, m, "nodeL", it)
                         # T_R must see the freshly updated left factors.
                         with tracer.span("partial[right]"):
                             T_R = right_partial(
@@ -376,15 +401,7 @@ def cp_als(
                                 num_threads=num_threads, timers=timers,
                                 executor=executor, workspace=ws,
                             )
-                        for n in range(m, N):
-                            with tracer.span(f"mode[{n}]"):
-                                M = node_mttkrp(
-                                    T_R, factors[m:], keep=n - m,
-                                    num_threads=num_threads, timers=timers,
-                                    executor=executor, workspace=ws,
-                                    slot=f"nodeR[{n - m}]",
-                                )
-                                update_mode(n, M, it)
+                        M = update_half(T_R, m, N, "nodeR", it)
                     result.iteration_times.append(wall_time() - t_start)
 
                     # Fit via the last mode's MTTKRP (no extra tensor

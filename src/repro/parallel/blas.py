@@ -18,6 +18,7 @@ import ctypes.util
 import glob
 import os
 import threading
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 from repro.analysis.sanitizer import SanitizerError, is_sanitizing
@@ -30,13 +31,17 @@ __all__ = [
 ]
 
 _lock = threading.Lock()
-_lib: ctypes.CDLL | None = None
+_funcs: tuple | None = None
 _searched = False
 
 
-def _candidate_paths() -> list[str]:
-    """Shared objects that may expose openblas_set_num_threads."""
-    paths: list[str] = []
+def _candidate_paths() -> Iterator[str]:
+    """Shared objects that may expose an OpenBLAS thread setter.
+
+    Yielded lazily, most likely first, so the slower system lookups
+    (``/proc/self/maps``, ``find_library``, which runs a subprocess)
+    happen only when numpy's bundled library has no setter.
+    """
     try:
         import numpy
 
@@ -47,62 +52,59 @@ def _candidate_paths() -> list[str]:
             os.path.join(numpy_dir, "..", "scipy_openblas64", "lib", "*.so*"),
             os.path.join(numpy_dir, "..", "scipy_openblas32", "lib", "*.so*"),
         ):
-            paths.extend(sorted(glob.glob(pattern)))
-    except Exception:  # pragma: no cover - numpy always importable here
+            yield from sorted(glob.glob(pattern))
+    except ImportError:  # pragma: no cover - numpy always importable here
         pass
     # Already-mapped libraries (covers system OpenBLAS).
     try:
         with open("/proc/self/maps") as fh:
-            for line in fh:
-                part = line.strip().split()
-                if part and "openblas" in part[-1].lower():
-                    paths.append(part[-1])
+            fields = [line.split() for line in fh]
     except OSError:  # pragma: no cover - non-Linux
-        pass
+        fields = []
+    yield from (f[-1] for f in fields if f and "openblas" in f[-1].lower())
     found = ctypes.util.find_library("openblas")
     if found:
-        paths.append(found)
-    # Preserve order, drop duplicates.
-    seen: set[str] = set()
-    unique = []
-    for p in paths:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+        yield found
 
 
-def _load() -> ctypes.CDLL | None:
-    global _lib, _searched
+#: ``(setter, getter)`` symbol pairs, tried in order.  The OpenBLAS that
+#: numpy >= 2 wheels bundle (``libscipy_openblas64_``) exports them with a
+#: ``scipy_`` prefix.
+_SYMBOLS = (
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _load() -> tuple | None:
+    """The ``(setter, getter)`` functions of the first library exporting a
+    setter (``getter`` may be ``None``), or ``None`` when none does."""
+    global _funcs, _searched
     with _lock:
         if _searched:
-            return _lib
+            return _funcs
         _searched = True
+        seen: set[str] = set()
         for path in _candidate_paths():
+            if path in seen:
+                continue
+            seen.add(path)
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            for name in (
-                "openblas_set_num_threads64_",
-                "openblas_set_num_threads",
-            ):
-                if hasattr(lib, name):
-                    _lib = lib
-                    return _lib
+            for set_name, get_name in _SYMBOLS:
+                if hasattr(lib, set_name):
+                    setter = getattr(lib, set_name)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter = getattr(lib, get_name, None)
+                    if getter is not None:
+                        getter.argtypes, getter.restype = [], ctypes.c_int
+                    _funcs = (setter, getter)
+                    return _funcs
         return None
-
-
-def _symbols(lib: ctypes.CDLL) -> tuple:
-    if hasattr(lib, "openblas_set_num_threads64_"):
-        return (
-            lib.openblas_set_num_threads64_,
-            getattr(lib, "openblas_get_num_threads64_", None),
-        )
-    return (
-        lib.openblas_set_num_threads,
-        getattr(lib, "openblas_get_num_threads", None),
-    )
 
 
 def set_blas_threads(n: int) -> bool:
@@ -114,24 +116,19 @@ def set_blas_threads(n: int) -> bool:
     n = int(n)
     if n <= 0:
         raise ValueError(f"thread count must be positive, got {n}")
-    lib = _load()
-    if lib is None:
+    funcs = _load()
+    if funcs is None:
         return False
-    setter, _ = _symbols(lib)
-    setter(ctypes.c_int(n))
+    funcs[0](n)
     return True
 
 
 def get_blas_threads() -> int | None:
     """Current BLAS thread count, or ``None`` when control is unavailable."""
-    lib = _load()
-    if lib is None:
+    funcs = _load()
+    if funcs is None or funcs[1] is None:
         return None
-    _, getter = _symbols(lib)
-    if getter is None:
-        return None
-    getter.restype = ctypes.c_int
-    return int(getter())
+    return int(funcs[1]())
 
 
 def assert_native_layout(arr, context: str = "operand"):

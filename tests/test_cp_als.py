@@ -106,6 +106,82 @@ class TestOptions:
             np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0)
 
 
+def _traced_strategy(X, **kwargs):
+    """Run a traced 2-iteration ``cp_als``; return the strategy it
+    recorded and the names of its spans."""
+    import repro.obs as obs
+
+    tracer = obs.enable()
+    try:
+        cp_als(X, 2, n_iter_max=2, tol=0.0, rng=0, **kwargs)
+    finally:
+        obs.disable()
+    spans = tracer.spans()
+    (root,) = [s for s in spans if s.name == "cp_als"]
+    return root.args["mode_strategy"], [s.name for s in spans]
+
+
+class TestModeStrategy:
+    """``mode_strategy="auto"``: the dimension tree unless a kernel is
+    pinned (named method, per-mode list, tuner) or the order is 2."""
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
+    def test_default_runs_dimension_tree(self, shape):
+        X = random_tensor(shape, rng=2)
+        strategy, names = _traced_strategy(X)
+        assert strategy == "dimtree"
+        assert names.count("partial[left]") == 2
+        assert names.count("partial[right]") == 2
+        assert names.count("node_mttkrp") == 2 * len(shape)
+        assert not any(name.startswith("mttkrp.") for name in names)
+
+    @pytest.mark.parametrize(
+        "shape,kwargs",
+        [
+            ((6, 5, 4), {"method": "onestep"}),
+            ((6, 5, 4), {"method": ["onestep", "twostep", "auto"]}),
+            ((6, 5, 4), {"tune": True}),
+            ((6, 5), {}),
+            ((6, 5, 4), {"mode_strategy": "per-mode"}),
+        ],
+        ids=["onestep", "per-mode-list", "tune", "order-2", "explicit"],
+    )
+    def test_pinned_or_order_two_runs_per_mode(self, shape, kwargs, monkeypatch):
+        from repro.tune import reset_cache
+
+        monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
+        reset_cache()
+        try:
+            strategy, names = _traced_strategy(random_tensor(shape, rng=2), **kwargs)
+        finally:
+            reset_cache()
+        assert strategy == "per-mode"
+        assert not any(name.startswith("partial[") for name in names)
+        assert sum(name.startswith("mttkrp.") for name in names) == 2 * len(shape)
+
+    def test_explicit_dimtree_kept(self):
+        strategy, names = _traced_strategy(
+            random_tensor((6, 5, 4), rng=2), mode_strategy="dimtree"
+        )
+        assert strategy == "dimtree"
+        assert "partial[left]" in names
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 4, 6, 3)])
+    def test_default_fits_match_per_mode(self, shape):
+        X = random_tensor(shape, rng=2)
+        init = random_factors(shape, 3, rng=3)
+        default = cp_als(X, 3, n_iter_max=8, tol=0.0, init=init)
+        per_mode = cp_als(
+            X, 3, n_iter_max=8, tol=0.0, init=init, mode_strategy="per-mode"
+        )
+        np.testing.assert_allclose(default.fits, per_mode.fits, rtol=0, atol=1e-12)
+
+    def test_invalid_mode_strategy_raises(self):
+        X = random_tensor((4, 5, 6), rng=0)
+        with pytest.raises(ValueError, match="mode_strategy"):
+            cp_als(X, 2, mode_strategy="per_mode")
+
+
 class TestErrors:
     def test_bad_rank(self):
         X = random_tensor((4, 5), rng=0)

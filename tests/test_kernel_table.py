@@ -4,7 +4,8 @@ Runtime checks for what the table promises by construction:
 
 * every row (and every variant) records its analytic cost once, on its
   ``mttkrp.<name>`` span, with the exact counter values pinned below;
-  the dimension-tree row keeps its counters on its nested spans;
+  the dimension-tree row keeps its flop/byte counters on its nested
+  partial-GEMM, KRP and node spans and its lower bound on the row span;
 * ``MTTKRP_METHODS``, the tuner's candidate set and the docs all follow
   the table, so adding a kernel is a one-row edit.
 """
@@ -59,11 +60,17 @@ COST = {
     ("baseline", 3, 2): (960, 4128, 2928, 1296),
 }
 
-# Rows without a cost kind: total flops over the nested spans.
+# Rows without a cost kind: total flops over the nested spans.  For
+# dimtree: partial KRP + partial GEMM (2 * 12 * 3 * 10 = 720 on either
+# side of the 2+2 split) + node contraction; modes 0/1 use the right KRP
+# (10 rows, 30 flops) and a 72-flop node, modes 2/3 the left KRP (12 rows,
+# 36 flops) and a 60-flop node.
 NESTED_FLOPS = {
-    ("dimtree", 0): 102, ("dimtree", 1): 102,
-    ("dimtree", 2): 96, ("dimtree", 3): 96,
+    ("dimtree", 0): 30 + 720 + 72, ("dimtree", 1): 30 + 720 + 72,
+    ("dimtree", 2): 36 + 720 + 60, ("dimtree", 3): 36 + 720 + 60,
 }
+# ... and the one lower bound every call records on its row span.
+NESTED_LOWER_BOUND = 1296
 
 CASES = [
     (spec, label, n, T)
@@ -93,6 +100,10 @@ def test_traced_call_records_row_cost(spec, label, n, T):
         assert "flops" not in span.counters
         total = sum(s.counters.get("flops", 0.0) for s in nested)
         assert total == NESTED_FLOPS[(spec.name, n)]
+        for key in ("bytes_read", "bytes_written"):
+            assert sum(s.counters.get(key, 0.0) for s in nested) > 0
+        assert span.counters["bytes_lower_bound"] == NESTED_LOWER_BOUND
+        assert not any("bytes_lower_bound" in s.counters for s in nested)
         return
     counters = tuple(
         span.counters[key]

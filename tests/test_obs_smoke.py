@@ -2,7 +2,8 @@
 
 A small traced CP-ALS run must produce (a) exactly one ``mode[n]`` span per
 iteration x mode, (b) per-region load imbalance within ``[1, num_threads]``,
-(c) MTTKRP spans carrying FLOP counters, and (d) a Chrome trace that
+(c) MTTKRP spans carrying FLOP counters (per-mode MTTKRP spans, or the
+dimension tree's partial GEMM and node spans), and (d) a Chrome trace that
 survives a ``json.load`` round trip — while leaving the pre-existing
 ``PhaseTimer`` results of the same run untouched (backward compatibility).
 """
@@ -20,16 +21,26 @@ ITERS = 3
 THREADS = 2
 
 
-@pytest.fixture
-def traced_run():
+def _traced_cp_als(**kwargs):
     tracer = obs.enable()
     X = random_tensor(SHAPE, rng=0)
     init = random_factors(SHAPE, RANK, rng=1)
     result = cp_als(
-        X, RANK, n_iter_max=ITERS, tol=0.0, init=init, num_threads=THREADS
+        X, RANK, n_iter_max=ITERS, tol=0.0, init=init, num_threads=THREADS,
+        **kwargs,
     )
     obs.disable()
     return tracer, result
+
+
+@pytest.fixture
+def traced_run():
+    return _traced_cp_als()
+
+
+@pytest.fixture
+def traced_per_mode_run():
+    return _traced_cp_als(mode_strategy="per-mode")
 
 
 def test_one_span_per_iteration_and_mode(traced_run):
@@ -63,8 +74,8 @@ def test_imbalance_within_bounds(traced_run):
         ] >= 0.0
 
 
-def test_mttkrp_spans_carry_flop_counters(traced_run):
-    tracer, _ = traced_run
+def test_mttkrp_spans_carry_flop_counters(traced_per_mode_run):
+    tracer, _ = traced_per_mode_run
     mttkrp_spans = [
         s for s in tracer.spans()
         if s.name.startswith("mttkrp.") and "flops" in s.counters
@@ -156,6 +167,25 @@ def test_dimtree_partials_carry_gemm_counters(traced_dimtree_run):
         if s.name == "krp.parallel" and "partial[" in s.path
     ]
     assert len(krp_spans) == 2 * ITERS
+
+
+def test_dimtree_spans_carry_flop_counters(traced_dimtree_run):
+    tracer, _ = traced_dimtree_run
+    spans = tracer.spans()
+    partial_gemms = [
+        s for s in spans if s.name == "gemm" and "/partial[" in s.path
+    ]
+    sides = sorted(s.args["side"] for s in partial_gemms)
+    assert sides == ["left"] * ITERS + ["right"] * ITERS
+    for s in partial_gemms:
+        assert s.counters["flops"] > 0
+        assert s.counters["bytes_read"] > 0
+        assert s.counters["bytes_written"] > 0
+    # The Ballard-Rouse-Knight bound: once per mode update, on its span.
+    bounded = [s for s in spans if "bytes_lower_bound" in s.counters]
+    assert len(bounded) == ITERS * 4
+    assert all(s.name.startswith("mode[") for s in bounded)
+    assert all(s.counters["bytes_lower_bound"] > 0 for s in bounded)
 
 
 def test_dimtree_node_spans_and_imbalance(traced_dimtree_run):

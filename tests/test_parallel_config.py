@@ -1,5 +1,6 @@
 """Tests for thread-count/backend configuration and BLAS thread control."""
 
+import numpy as np
 import pytest
 
 from repro.parallel.blas import blas_threads, get_blas_threads, set_blas_threads
@@ -81,12 +82,28 @@ class TestBlasThreads:
         assert get_blas_threads() == before
 
     def test_roundtrip_when_controllable(self):
-        if get_blas_threads() is None:
+        before = get_blas_threads()
+        if before is None:
             pytest.skip("BLAS thread control unavailable")
-        set_blas_threads(2)
-        assert get_blas_threads() == 2
-        set_blas_threads(1)
-        assert get_blas_threads() == 1
+        try:
+            set_blas_threads(2)
+            assert get_blas_threads() == 2
+            set_blas_threads(1)
+            assert get_blas_threads() == 1
+        finally:
+            set_blas_threads(before)
+
+    def test_numpy_openblas_is_controllable(self):
+        # numpy >= 2 wheels bundle an OpenBLAS whose symbols carry a
+        # ``scipy_`` prefix; the setter lookup must find them too.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        before = get_blas_threads()
+        assert before is not None
+        with blas_threads(1):
+            assert get_blas_threads() == 1
+        assert get_blas_threads() == before
 
 
 class TestBackendConfig:
