@@ -7,9 +7,11 @@ Two layers (see ``docs/analysis.md``):
   contracts of the paper's Algorithms 1/3/4 as this repo implements them.
   CLI: ``python -m repro.analysis [paths]`` or the ``repro-analysis``
   console script.
-* **Runtime sanitizer** (:mod:`repro.analysis.sanitizer`) — an opt-in
-  write-set race detector for thread-backend pool regions plus shm
-  bounds checks, enabled via ``REPRO_SANITIZE=1`` or :func:`sanitize`.
+* **Runtime sanitizer** (:mod:`repro.parallel.sanitizer`, re-exported
+  here) — an opt-in write-set race detector for thread-backend pool
+  regions plus shm bounds checks, enabled via ``REPRO_SANITIZE=1`` or
+  :func:`sanitize`.  It lives in the runtime package because the runtime
+  imports no analyzer code.
 """
 
 from repro.analysis.lint import (
@@ -21,7 +23,7 @@ from repro.analysis.lint import (
     render_text,
 )
 from repro.analysis.rules import ALL_RULES, get_rules
-from repro.analysis.sanitizer import (
+from repro.parallel.sanitizer import (
     NULL_SANITIZER,
     RaceError,
     Sanitizer,

@@ -10,7 +10,6 @@ pipeline extracts the planted brain networks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.cpd.kruskal import KruskalTensor
 from repro.tensor.dense import DenseTensor
@@ -64,6 +63,9 @@ def factor_match_score(
         Multiply each matched congruence by
         ``1 - |w_est - w_ref| / max(w_est, w_ref)``.
     """
+    # scipy loads on first call only: no CP-ALS or serve path needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if estimated.rank != reference.rank:
         raise ValueError(
             f"rank mismatch: {estimated.rank} vs {reference.rank}"

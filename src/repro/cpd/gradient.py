@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.dispatch import mttkrp
 from repro.cpd.gram import gram_matrices, hadamard_of_grams
@@ -172,6 +171,9 @@ def cp_opt(
         evaluation fits, convergence flag.
     """
     from repro.cpd.cp_als import CPALSResult
+
+    # scipy loads on first call only: no CP-ALS or serve path needs it.
+    from scipy.optimize import minimize
 
     rank = int(rank)
     if rank <= 0:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.cpd.gradient import _pack, _unpack
 from repro.cpd.init import initialize_factors
@@ -102,6 +101,9 @@ def cp_wopt(
         split_point,
     )
     from repro.cpd.cp_als import CPALSResult
+
+    # scipy loads on first call only: no CP-ALS or serve path needs it.
+    from scipy.optimize import minimize
 
     if not isinstance(tensor, DenseTensor) or not isinstance(
         mask, DenseTensor

@@ -22,7 +22,9 @@ equivalents:
   internal thread count (the "multithreaded BLAS" half of the paper's
   hybrid scheme);
 * :mod:`~repro.parallel.config` — the package-wide default thread count
-  and execution backend (``set_backend()`` / ``REPRO_BACKEND``).
+  and execution backend (``set_backend()`` / ``REPRO_BACKEND``);
+* :mod:`~repro.parallel.sanitizer` — the opt-in write-set race sanitizer
+  the pool brackets its regions with (``REPRO_SANITIZE=1``).
 """
 
 from repro.parallel.backend import (

@@ -56,6 +56,7 @@ from repro.parallel.config import resolve_backend, resolve_threads
 from repro.parallel.partition import contiguous_blocks
 from repro.parallel.pool import ThreadPool, WorkerError, get_pool
 from repro.parallel.reduction import parallel_reduce
+from repro.parallel.sanitizer import get_sanitizer
 from repro.parallel.shm import ShmArena, ShmHandle, attach
 
 __all__ = [
@@ -192,8 +193,6 @@ class ThreadExecutor(Executor):
         # When the sanitizer is on, shared allocations come back
         # instrumented so worker writes are race-checked at the barrier;
         # wrap() is the identity when it is off.
-        from repro.analysis.sanitizer import get_sanitizer
-
         return get_sanitizer().wrap(np.zeros(tuple(shape), dtype=dtype))
 
     def reduce(self, buffers: np.ndarray, label: str | None = None) -> np.ndarray:

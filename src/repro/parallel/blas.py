@@ -21,7 +21,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from repro.analysis.sanitizer import SanitizerError, is_sanitizing
+from repro.parallel.sanitizer import SanitizerError, is_sanitizing
 
 __all__ = [
     "set_blas_threads",

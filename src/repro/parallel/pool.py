@@ -28,9 +28,9 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 
-from repro.analysis.sanitizer import get_sanitizer
 from repro.obs.tracer import get_tracer
 from repro.parallel.partition import contiguous_blocks
+from repro.parallel.sanitizer import get_sanitizer
 
 __all__ = ["ThreadPool", "get_pool", "shutdown_all_pools"]
 
@@ -196,7 +196,7 @@ class ThreadPool:
         Each task's thread is tagged with its worker index for the duration
         of the task, so writes to instrumented arrays attribute correctly;
         the region barrier then asserts pairwise disjointness of the
-        recorded write sets (:mod:`repro.analysis.sanitizer`).  The check
+        recorded write sets (:mod:`repro.parallel.sanitizer`).  The check
         only runs when the region itself succeeded — a ``WorkerError`` must
         surface unmasked.
         """

@@ -21,9 +21,11 @@ When off, :data:`NULL_SANITIZER` (Null-object pattern, same as
 ``repro.obs``) makes every hook a no-op and ``wrap`` the identity, so the
 production path pays nothing.
 
-This module deliberately imports nothing from :mod:`repro.parallel` —
-``pool.py`` imports *us*, and the sanitizer must stay usable from worker
-processes before the parallel package is configured.
+It lives in the runtime, not in :mod:`repro.analysis`, so running the
+pool never loads the static analyzer.  It deliberately imports nothing
+else from :mod:`repro.parallel` — ``pool.py`` imports *us*, and the
+sanitizer must stay usable from worker processes before the parallel
+package is configured.
 """
 
 from __future__ import annotations

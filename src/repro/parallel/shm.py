@@ -34,7 +34,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.parallel.sanitizer import SanitizerError
 
 __all__ = ["ShmHandle", "ShmArena", "attach"]
 

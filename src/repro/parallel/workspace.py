@@ -15,7 +15,7 @@ instead:
 * allocation goes through the owning executor's ``allocate_shared`` /
   ``allocate_private``, so buffers inherit the backend's visibility
   guarantees for free: on the thread backend they are sanitizer-wrapped
-  (:mod:`repro.analysis.sanitizer` sees every worker write for race
+  (:mod:`repro.parallel.sanitizer` sees every worker write for race
   checking), on the process backend they live in the executor's shm arena
   (:mod:`repro.parallel.shm`), so parent writes — e.g. the partial GEMM
   filling a node — are visible to worker processes with **zero copies per

@@ -9,7 +9,12 @@ under the sanitizer; and the instrumentation is inert when disabled.
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import (
+from repro.core.mttkrp_onestep import mttkrp_onestep
+from repro.cpd.cp_als import cp_als
+from repro.parallel import num_threads
+from repro.parallel.partition import contiguous_blocks
+from repro.parallel.pool import ThreadPool
+from repro.parallel.sanitizer import (
     NULL_SANITIZER,
     RaceError,
     SanitizerError,
@@ -18,11 +23,6 @@ from repro.analysis.sanitizer import (
     is_sanitizing,
     sanitize,
 )
-from repro.core.mttkrp_onestep import mttkrp_onestep
-from repro.cpd.cp_als import cp_als
-from repro.parallel import num_threads
-from repro.parallel.partition import contiguous_blocks
-from repro.parallel.pool import ThreadPool
 from repro.parallel.shm import ShmArena, ShmHandle, attach
 from repro.tensor.dense import DenseTensor
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import sanitize
 from repro.core.dispatch import MTTKRP_METHODS
 from repro.cpd.cp_als import cp_als
+from repro.parallel.sanitizer import sanitize
 from repro.parallel.workspace import Workspace
 from repro.tensor.generate import random_tensor
 from repro.tune import reset_cache

@@ -11,12 +11,12 @@ reviewed RA004 suppressions in mttkrp_twostep.
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import SanitizerError, sanitize
 from repro.core.dimtree import left_partial, node_mttkrp, split_point
 from repro.core.mttkrp_onestep import mttkrp_onestep
 from repro.core.mttkrp_twostep import mttkrp_twostep
 from repro.machine.calibrate import measure_gemm_gflops
 from repro.parallel.blas import assert_native_layout
+from repro.parallel.sanitizer import SanitizerError, sanitize
 from repro.tensor.generate import random_factors, random_tensor
 
 SHAPE = (5, 6, 4, 3)
