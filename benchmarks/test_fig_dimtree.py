@@ -116,7 +116,7 @@ def test_node_mttkrp_second_level(benchmark, impl):
     "threads", [t for t in _THREADS if t > 1] or [2], ids=lambda t: f"T{t}"
 )
 def test_node_mttkrp_second_level_parallel(benchmark, impl, threads):
-    """Same node update with the executor engaged (batched path only
+    """Same node update with the thread pool engaged (batched path only
     parallelizes; column-wise stays serial by construction)."""
     node, facs = _node_problem()
     record_paper_context(

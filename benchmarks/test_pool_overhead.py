@@ -79,83 +79,45 @@ def test_schedule_on_imbalanced_work(benchmark, schedule):
 
 
 # --------------------------------------------------------------------- #
-# Thread vs process backend
+# Pool-parallel kernels
 # --------------------------------------------------------------------- #
 
-_BACKENDS = ("thread", "process")
 
-
-def _noop_kernel(worker, start, stop):
-    pass
-
-
-def _py_loop_kernel(worker, start, stop, mats, out):
-    # Deliberately Python-bound: per-row work too small for BLAS to
-    # dominate, so the GIL serializes it on the thread backend.
-    a, b = mats
-    for i in range(start, stop):
-        out[i] = a[i % a.shape[0]] @ b[i % b.shape[0]]
-
-
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_backend_region_overhead(benchmark, backend):
-    """Empty-region launch/join cost per backend (process pays pipe IPC)."""
-    from repro.parallel.backend import get_executor
-
+def test_python_bound_loop(benchmark):
+    """GIL-bound Python loop: per-row work too small for BLAS to dominate,
+    so the pool's workers serialize on the GIL."""
     T = max(_THREADS)
-    ex = get_executor(T, backend=backend)
-    record_paper_context(
-        benchmark, ablation="backend-overhead", kind="empty-region",
-        backend=backend, threads=T,
-    )
-    benchmark(ex.parallel_for, _noop_kernel, T)
-
-
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_backend_python_bound_loop(benchmark, backend):
-    """GIL-bound Python loop: the case the process backend exists for."""
-    from repro.parallel.backend import get_executor
-
-    T = max(_THREADS)
-    ex = get_executor(T, backend=backend)
+    pool = get_pool(T)
     rng = np.random.default_rng(0)
-    mats = (rng.standard_normal((64, 48)), rng.standard_normal((64, 48)))
-    out = ex.allocate_shared((512,))
-    record_paper_context(
-        benchmark, ablation="backend-python-loop", backend=backend, threads=T,
-    )
-    benchmark(
-        lambda: ex.parallel_for(_py_loop_kernel, 512, args=(mats, out))
-    )
+    a, b = rng.standard_normal((64, 48)), rng.standard_normal((64, 48))
+    out = np.zeros(512)
+
+    def work(t, start, stop):
+        for i in range(start, stop):
+            out[i] = a[i % a.shape[0]] @ b[i % b.shape[0]]
+
+    record_paper_context(benchmark, ablation="python-loop", threads=T)
+    benchmark(pool.parallel_for, work, 512)
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_backend_krp_with_reuse(benchmark, backend):
-    """Row-wise KRP with reuse (Alg. 1) through each backend."""
+def test_krp_with_reuse(benchmark):
+    """Row-wise KRP with reuse (Alg. 1) on the pool."""
     from repro.core.krp_parallel import khatri_rao_parallel
-    from repro.parallel.backend import get_executor
 
     T = max(_THREADS)
-    ex = get_executor(T, backend=backend)
     rng = np.random.default_rng(1)
     mats = [rng.standard_normal((48, 16)) for _ in range(3)]
-    record_paper_context(
-        benchmark, ablation="backend-krp", backend=backend, threads=T,
-    )
-    benchmark(lambda: khatri_rao_parallel(mats, executor=ex))
+    record_paper_context(benchmark, ablation="krp", threads=T)
+    benchmark(lambda: khatri_rao_parallel(mats, num_threads=T))
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_backend_mttkrp_onestep(benchmark, backend):
-    """Full GEMM-phase MTTKRP per backend (parity target: same BLAS)."""
+def test_mttkrp_onestep(benchmark):
+    """Full GEMM-phase 1-step MTTKRP on the pool."""
     from repro.core.dispatch import mttkrp
 
     T = max(_THREADS)
     X, U = cached_problem((48, 32, 24), 16)
     record_paper_context(
-        benchmark, ablation="backend-mttkrp", backend=backend, threads=T,
-        method="onestep",
+        benchmark, ablation="mttkrp", threads=T, method="onestep",
     )
-    benchmark(
-        lambda: mttkrp(X, U, 1, method="onestep", num_threads=T, backend=backend)
-    )
+    benchmark(lambda: mttkrp(X, U, 1, method="onestep", num_threads=T))

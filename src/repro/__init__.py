@@ -29,11 +29,6 @@ Thread control:
     :func:`~repro.parallel.set_num_threads`,
     :func:`~repro.parallel.num_threads` (context manager).
 
-Execution backend (``"thread"`` default, ``"process"`` for GIL-free
-Python loops over shared memory — bit-identical results):
-    :func:`~repro.parallel.set_backend`,
-    :func:`~repro.parallel.use_backend` (context manager).
-
 Quickstart
 ----------
 >>> import numpy as np
@@ -55,14 +50,7 @@ from repro.core import (
     mttkrp_twostep,
 )
 from repro.cpd import KruskalTensor, TuckerTensor, cp_als, cp_nnhals, hosvd
-from repro.parallel import (
-    get_backend,
-    get_num_threads,
-    num_threads,
-    set_backend,
-    set_num_threads,
-    use_backend,
-)
+from repro.parallel import get_num_threads, num_threads, set_num_threads
 from repro.tensor import (
     DenseTensor,
     from_kruskal,
@@ -98,8 +86,5 @@ __all__ = [
     "set_num_threads",
     "get_num_threads",
     "num_threads",
-    "set_backend",
-    "get_backend",
-    "use_backend",
     "__version__",
 ]

@@ -3,13 +3,14 @@
 Two layers (see ``docs/analysis.md``):
 
 * **Static lint** (:mod:`repro.analysis.lint` + :mod:`repro.analysis.rules`)
-  — AST rules RA001–RA006 enforcing the partition, layout, and shm-lifetime
-  contracts of the paper's Algorithms 1/3/4 as this repo implements them.
+  — AST rules RA001–RA004 and RA006–RA008 enforcing the partition,
+  layout and workspace-lifetime contracts of the paper's Algorithms 1/3/4
+  as this repo implements them.
   CLI: ``python -m repro.analysis [paths]`` or the ``repro-analysis``
   console script.
 * **Runtime sanitizer** (:mod:`repro.parallel.sanitizer`, re-exported
-  here) — an opt-in write-set race detector for thread-backend pool
-  regions plus shm bounds checks, enabled via ``REPRO_SANITIZE=1`` or
+  here) — an opt-in write-set race detector for thread-pool regions,
+  enabled via ``REPRO_SANITIZE=1`` or
   :func:`sanitize`.  It lives in the runtime package because the runtime
   imports no analyzer code.
 """

@@ -1,6 +1,6 @@
 """Project-level module, import, and call graph for the analyzer.
 
-The per-file rules (RA001–RA006, RA008) see one ``ast.Module`` at a time;
+The per-file rules (RA001–RA004, RA006, RA008) see one ``ast.Module`` at a time;
 the project rule RA007 needs to follow a numpy view created in
 ``cp_als`` through a helper in another module into a ``_k_*`` kernel.
 This module provides the shared substrate:

@@ -27,7 +27,6 @@ from repro.analysis.rules.parallel_rules import (
     RA002LoopCapture,
     RA006GlobalMutation,
 )
-from repro.analysis.rules.shm_rules import RA005RawSharedMemory
 
 __all__ = [
     "ALL_RULES",
@@ -45,7 +44,6 @@ ALL_RULES: tuple[Rule, ...] = (
     RA002LoopCapture(),
     RA003UnpinnedAllocation(),
     RA004HazardousView(),
-    RA005RawSharedMemory(),
     RA006GlobalMutation(),
     RA008WorkspaceLifetime(),
 )

@@ -2,7 +2,7 @@
 
 The rules in this package are *repo-specific*: they know the shapes of this
 codebase's parallel regions (``ThreadPool.run_tasks`` task lists,
-``parallel_for``/``Executor.parallel_for`` region kernels, the ``_k_*``
+``parallel_for`` region kernels, the ``_k_*``
 module-level kernel naming convention) and the partition contract they must
 obey (every shared write goes through an index derived from the worker's
 ``(worker, start, stop)`` block, i.e. ultimately from
@@ -13,7 +13,7 @@ This module provides the pieces every rule needs:
 * :class:`Rule` — the rule interface (id, severity, hint, ``check``);
 * :class:`RawFinding` — a pre-suppression finding location + message;
 * :func:`find_task_contexts` — discovery of *task contexts*: function or
-  lambda bodies that execute on pool/executor workers;
+  lambda bodies that execute on pool workers;
 * :func:`derived_names` — the fixed-point set of names derived from a task
   context's partition parameters (loop variables over ``range(start,
   stop)``, values unpacked from partition-indexed containers, ...);
@@ -246,7 +246,7 @@ def subscript_indices(node: ast.expr) -> list[ast.expr]:
 
 @dataclass
 class TaskContext:
-    """A function or lambda body that executes on a pool/executor worker.
+    """A function or lambda body that executes on a pool worker.
 
     Attributes
     ----------
@@ -358,7 +358,7 @@ def find_task_contexts(tree: ast.Module) -> list[TaskContext]:
     Three sources, matching this repo's region idioms:
 
     1. module-level functions named ``_k_*`` (the documented kernel naming
-       convention for the process backend);
+       convention for region kernels);
     2. the first argument of any ``*.parallel_for(fn, ...)`` call, resolved
        to a lambda or a locally/module-defined function;
     3. callables inside the first argument of any ``*.run_tasks(...)``

@@ -5,8 +5,7 @@ validity is bounded by the arena's lifetime operations:
 
 * ``ws.release(prefix)`` drops every buffer whose slot name starts with
   ``prefix`` — a local still referring to one of them aliases memory the
-  arena may hand to a different slot (or, on the process backend, a shm
-  segment already retired);
+  arena may hand to a different slot;
 * ``ws.close()`` (or leaving a ``with Workspace(...) as ws:`` block,
   which closes it) drops everything.
 
@@ -67,8 +66,7 @@ class RA008WorkspaceLifetime(Rule):
     hint = (
         "re-acquire the buffer from the workspace after a release, or move "
         "the use before the lifetime boundary; a released slot's memory may "
-        "be re-handed to another slot (and its shm segment retired on the "
-        "process backend)"
+        "be re-handed to another slot"
     )
 
     def check(self, tree: ast.Module, path: str) -> list[RawFinding]:

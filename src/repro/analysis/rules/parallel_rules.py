@@ -7,16 +7,14 @@ as this repo implements them (see ``docs/analysis.md`` for the catalog):
   go through an index derived from the worker's contiguous partition
   (``worker``/``start``/``stop``, ultimately ``contiguous_blocks``).
   A write that is not partition-indexed can land in another worker's block
-  — a data race the thread backend cannot detect and the process backend
-  silently turns into lost updates.
+  — a data race the thread pool cannot detect by itself.
 * **RA002** — a closure created inside a loop must not capture the loop
   variable by reference; all iterations would share the final value, so
   every task computes the *last* worker's block.  The repo's idiom is
   default-argument binding (``lambda t=t: ...``).
 * **RA006** — worker code must not mutate module-level state (``global``
   rebinding, stores to imported modules' attributes).  Workers run
-  concurrently under the thread backend and in *separate interpreters*
-  under the process backend, where such writes are silently lost.
+  concurrently, so such writes race with each other.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ work entirely.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.batch.mttkrp import mttkrp_batched
 from repro.batch.tensor import BatchedTensor
 from repro.cpd.kruskal import KruskalTensor
 from repro.obs import get_tracer
-from repro.parallel.config import use_backend
 from repro.util.timing import PhaseTimer, wall_time
 
 __all__ = ["cp_als_batched", "BatchedCPResult"]
@@ -90,7 +88,6 @@ def cp_als_batched(
     init: str | Sequence[np.ndarray] = "random",
     method: str = "auto",
     num_threads: int | None = None,
-    backend: str | None = None,
     rng: np.random.Generator | int | None = None,
     workspace=None,
     tune: bool = False,
@@ -116,9 +113,9 @@ def cp_als_batched(
         Batched MTTKRP method for every mode update, one of
         :data:`~repro.batch.mttkrp.BATCHED_MTTKRP_METHODS`.  Ignored
         when ``tune=True``.
-    num_threads / backend:
+    num_threads:
         Forwarded to the batched kernels (workers split the batch axis;
-        iterates are bit-identical across backends and thread counts).
+        iterates are bit-identical across thread counts).
     rng:
         Seed/generator for random initialization.
     workspace:
@@ -207,18 +204,13 @@ def cp_als_batched(
         iterations=iterations, timers=timers,
     )
 
-    backend_scope = use_backend(backend) if backend is not None else nullcontext()
-    with backend_scope, tracer.span(
+    with tracer.span(
         "cp_als_batched", rank=rank, batch=B, shape=list(shape),
         method=method, tune=tune,
     ):
-        from repro.parallel.backend import get_executor
-        from repro.parallel.config import resolve_threads
         from repro.parallel.workspace import Workspace
 
-        T = resolve_threads(num_threads)
-        executor = get_executor(T) if T > 1 else None
-        ws = workspace if workspace is not None else Workspace(executor)
+        ws = workspace if workspace is not None else Workspace()
         own_ws = workspace is None
         if tune:
             from repro.tune.batched import autotune_batched
@@ -345,10 +337,6 @@ def _iterate_once(
                 else:
                     weights = np.maximum(np.abs(U).max(axis=1), 1.0)
                 weights = np.where(weights > 0, weights, 1.0)
-                # Rebind rather than write in place: the process
-                # backend's operand marshalling caches exports by array
-                # identity, so an in-place update would re-serve the
-                # pre-update factor to the workers.
                 sub_factors[n] = U / weights[:, None, :]
             np.matmul(
                 sub_factors[n].transpose(0, 2, 1), sub_factors[n],

@@ -75,7 +75,6 @@ def cp_als_fleet(
     tol: float = 1e-8,
     method: str = "auto",
     num_threads: int | None = None,
-    backend: str | None = None,
     workspace=None,
     tune: bool = False,
     cancel=None,
@@ -98,7 +97,7 @@ def cp_als_fleet(
     init:
         Initialization method forwarded to
         :func:`~repro.cpd.init.initialize_factors` per item.
-    n_iter_max / tol / method / num_threads / backend / workspace / tune / cancel:
+    n_iter_max / tol / method / num_threads / workspace / tune / cancel:
         Forwarded to :func:`~repro.batch.cp_als.cp_als_batched`.
 
     Returns
@@ -120,7 +119,6 @@ def cp_als_fleet(
         init=stacked,
         method=method,
         num_threads=num_threads,
-        backend=backend,
         workspace=workspace,
         tune=tune,
         cancel=cancel,

@@ -14,8 +14,8 @@ block axis.
 NumPy executes a stacked matmul as one BLAS call per 2-D slice with
 exactly the strides the per-item kernel would pass, so ``"batched"``
 and the ``"batched-loop"`` reference lane are **bit-identical** — and,
-items being independent, results are invariant to thread count,
-backend, and batch partition.  The differential oracle
+items being independent, results are invariant to thread count
+and batch partition.  The differential oracle
 (``tests/test_oracle_batch.py``) pins both properties.
 
 Methods (``BATCHED_MTTKRP_METHODS``):
@@ -23,7 +23,7 @@ Methods (``BATCHED_MTTKRP_METHODS``):
 * ``"auto"`` — the stacked kernel (``"batched"``);
 * ``"autotune"`` — empirical stacked-vs-loop crossover from
   :func:`repro.tune.batched.autotune_batched`, cached per
-  ``(shape, rank, mode, threads, backend, dtype, batch)``;
+  ``(shape, rank, mode, threads, dtype, batch)``;
 * ``"batched"`` — stacked panels + one batched GEMM per chunk;
 * ``"batched-loop"`` — the per-item 2-D loop over the same stacked
   storage (the crossover baseline; wins only when items are large
@@ -33,7 +33,6 @@ Methods (``BATCHED_MTTKRP_METHODS``):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter as _clock
 
@@ -44,8 +43,9 @@ from repro.core.flops import record_mttkrp_cost
 from repro.core.krp import khatri_rao
 from repro.machine.model import resolve_cache_bytes
 from repro.obs import get_tracer
-from repro.parallel.backend import get_executor
-from repro.parallel.config import resolve_threads, use_backend
+from repro.parallel.config import resolve_threads
+from repro.parallel.pool import get_pool
+from repro.parallel.reduction import allocate_shared
 from repro.tensor.layout import mode_products
 from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_mode
@@ -130,7 +130,6 @@ def mttkrp_batched(
     method: str = "auto",
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    backend: str | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Mode-``n`` MTTKRP for every item of a batch in one call.
@@ -155,8 +154,6 @@ def mttkrp_batched(
     timers:
         Optional :class:`~repro.util.timing.PhaseTimer`
         (``"full_krp"`` / ``"gemm"`` phases).
-    backend:
-        ``"thread"`` or ``"process"``; defaults to the package setting.
     **kwargs:
         Forwarded to the selected lane (``workspace=``, ``slot=``,
         ``cache_bytes=``).
@@ -184,7 +181,6 @@ def mttkrp_batched(
             factors,
             n,
             num_threads=num_threads,
-            backend=backend,
             workspace=kwargs.get("workspace"),
         )
         method = record.method
@@ -200,17 +196,15 @@ def mttkrp_batched(
         )
 
     tracer = get_tracer()
-    backend_scope = use_backend(backend) if backend is not None else nullcontext()
-    with backend_scope:
-        if not tracer.enabled:
-            return _run(batch, factors, n, method, num_threads, timers, kwargs)
-        with tracer.span(
-            f"batch.mttkrp.{method}", mode=n, batch=batch.batch,
-            shape=list(batch.shape), autotuned=autotuned,
-        ) as span:
-            out = _run(batch, factors, n, method, num_threads, timers, kwargs)
-            span.args["rank"] = int(out.shape[-1])
-            return out
+    if not tracer.enabled:
+        return _run(batch, factors, n, method, num_threads, timers, kwargs)
+    with tracer.span(
+        f"batch.mttkrp.{method}", mode=n, batch=batch.batch,
+        shape=list(batch.shape), autotuned=autotuned,
+    ) as span:
+        out = _run(batch, factors, n, method, num_threads, timers, kwargs)
+        span.args["rank"] = int(out.shape[-1])
+        return out
 
 
 def _run(batch, factors, n, method, num_threads, timers, kwargs):
@@ -287,6 +281,13 @@ def _acquire(workspace, name, shape, dtype):
     return np.empty(shape, dtype=dtype, order="C")
 
 
+def _shared(workspace, name, shape, dtype=np.float64):
+    """A buffer pool workers write: the workspace's, or a fresh one."""
+    if workspace is not None:
+        return workspace.buffer(name, shape, dtype)
+    return allocate_shared(shape, dtype=dtype)
+
+
 def _stacked_chunk(flat, shape, n, ops, b0, b1, out, pan, prod):
     """One chunk ``[b0, b1)``: per-item KRP panels, then stacked GEMMs.
 
@@ -336,8 +337,7 @@ def _loop_item(flat, shape, n, ops, b, out2, pan, prod):
 
 
 # --------------------------------------------------------------------- #
-# Region kernels (module-level so the process backend ships them by
-# reference; all shared writes are worker- or partition-indexed)
+# Region kernels (all shared writes are worker- or partition-indexed)
 # --------------------------------------------------------------------- #
 
 
@@ -465,48 +465,33 @@ def mttkrp_batched_stacked(
         tr.add_counter("gemm_calls", plan.num_chunks)
         return out
 
-    ex = get_executor(T)
-    owned = workspace is not None and workspace.executor is ex
-    if owned:
-        out = workspace.buffer(f"{pfx}.out", (B, p.size, rank), dtype)
-        panel = workspace.buffer(
-            f"{pfx}.stacked.panel", (T, plan.chunk, p.other, rank), dtype
+    pool = get_pool(T)
+    out = _shared(workspace, f"{pfx}.out", (B, p.size, rank), dtype)
+    panel = _shared(
+        workspace, f"{pfx}.stacked.panel", (T, plan.chunk, p.other, rank),
+        dtype,
+    )
+    prod = (
+        _shared(
+            workspace, f"{pfx}.stacked.prod",
+            (T, plan.chunk, p.right, p.size, rank), dtype,
         )
-        prod = (
-            workspace.buffer(
-                f"{pfx}.stacked.prod",
-                (T, plan.chunk, p.right, p.size, rank), dtype,
-            )
-            if internal else None
-        )
-        krp_seconds = workspace.buffer(f"{slot}.krp_seconds", (T,))
-        gemm_seconds = workspace.buffer(f"{slot}.gemm_seconds", (T,))
-    else:
-        out = ex.allocate_shared((B, p.size, rank), dtype=dtype)
-        panel = ex.allocate_shared(
-            (T, plan.chunk, p.other, rank), dtype=dtype
-        )
-        prod = (
-            ex.allocate_shared(
-                (T, plan.chunk, p.right, p.size, rank), dtype=dtype
-            )
-            if internal else None
-        )
-        krp_seconds = ex.allocate_shared((T,))
-        gemm_seconds = ex.allocate_shared((T,))
-    ex.parallel_for(
-        _k_batched_stacked,
-        B,
-        args=(
-            flat, batch.shape, n, ops, plan.chunk, out, panel, prod,
-            krp_seconds, gemm_seconds,
+        if internal else None
+    )
+    krp_seconds = _shared(workspace, f"{slot}.krp_seconds", (T,))
+    gemm_seconds = _shared(workspace, f"{slot}.gemm_seconds", (T,))
+    pool.parallel_for(
+        lambda w, lo, hi: _k_batched_stacked(
+            w, lo, hi, flat, batch.shape, n, ops, plan.chunk, out, panel,
+            prod, krp_seconds, gemm_seconds,
         ),
+        B,
         label="batch.mttkrp.stacked",
     )
     t.add("full_krp", float(krp_seconds.max()))
     t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", plan.num_chunks)
-    return out if owned else out.copy()
+    return out
 
 
 def mttkrp_batched_loop(
@@ -566,40 +551,26 @@ def mttkrp_batched_loop(
         tr.add_counter("gemm_calls", B)
         return out
 
-    ex = get_executor(T)
-    owned = workspace is not None and workspace.executor is ex
-    if owned:
-        out = workspace.buffer(f"{pfx}.out", (B, p.size, rank), dtype)
-        panel = workspace.buffer(
-            f"{pfx}.loop.panel", (T, p.other, rank), dtype
+    pool = get_pool(T)
+    out = _shared(workspace, f"{pfx}.out", (B, p.size, rank), dtype)
+    panel = _shared(workspace, f"{pfx}.loop.panel", (T, p.other, rank), dtype)
+    prod = (
+        _shared(
+            workspace, f"{pfx}.loop.prod", (T, p.right, p.size, rank), dtype
         )
-        prod = (
-            workspace.buffer(
-                f"{pfx}.loop.prod", (T, p.right, p.size, rank), dtype
-            )
-            if internal else None
-        )
-        krp_seconds = workspace.buffer(f"{slot}.krp_seconds", (T,))
-        gemm_seconds = workspace.buffer(f"{slot}.gemm_seconds", (T,))
-    else:
-        out = ex.allocate_shared((B, p.size, rank), dtype=dtype)
-        panel = ex.allocate_shared((T, p.other, rank), dtype=dtype)
-        prod = (
-            ex.allocate_shared((T, p.right, p.size, rank), dtype=dtype)
-            if internal else None
-        )
-        krp_seconds = ex.allocate_shared((T,))
-        gemm_seconds = ex.allocate_shared((T,))
-    ex.parallel_for(
-        _k_batched_loop,
-        B,
-        args=(
-            flat, batch.shape, n, ops, out, panel, prod,
+        if internal else None
+    )
+    krp_seconds = _shared(workspace, f"{slot}.krp_seconds", (T,))
+    gemm_seconds = _shared(workspace, f"{slot}.gemm_seconds", (T,))
+    pool.parallel_for(
+        lambda w, lo, hi: _k_batched_loop(
+            w, lo, hi, flat, batch.shape, n, ops, out, panel, prod,
             krp_seconds, gemm_seconds,
         ),
+        B,
         label="batch.mttkrp.loop",
     )
     t.add("full_krp", float(krp_seconds.max()))
     t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", B)
-    return out if owned else out.copy()
+    return out

@@ -6,8 +6,8 @@ incompatible ad-hoc JSON layouts (``results/BENCH_backend.json``,
 ``fig*.txt`` text dumps, so "is PR N+1 faster than PR N?" required
 archaeology.  Every producer — the :mod:`repro.bench.registry` runners
 and the pytest-benchmark suite — now emits the **same versioned
-record** (the three legacy layouts were converted once into
-``results/{backend,dimtree,tune}.bench.json``), and
+record** (the legacy dimtree and tune layouts were converted once into
+``results/{dimtree,tune}.bench.json``), and
 :mod:`repro.bench.trend` consumes nothing else.
 
 A record is a plain JSON-able dict::

@@ -328,14 +328,13 @@ def _run_autotune(scale, threads, repeats, rng):
 
 @register(
     "pool-overhead",
-    title="Pool/backend substrate: region launch, reduction, backend costs",
+    title="Pool substrate: region launch, reduction, parallel KRP",
     tags=("parallel",),
     default_scale=1.0,
     default_repeats=5,
 )
 def _run_pool_overhead(scale, threads, repeats, rng):
     from repro.core.krp_parallel import khatri_rao_parallel
-    from repro.parallel.backend import get_executor
     from repro.parallel.pool import get_pool
     from repro.parallel.reduction import allocate_private, parallel_reduce
 
@@ -362,24 +361,12 @@ def _run_pool_overhead(scale, threads, repeats, rng):
     T = max(multi)
     gen = np.random.default_rng(rng)
     mats = [gen.standard_normal((48, 16)) for _ in range(3)]
-    for backend in ("thread", "process"):
-        ex = get_executor(T, backend=backend)
-        records.append(measure_case(
-            "pool-overhead", f"backend-region/{backend}/T{T}",
-            lambda ex=ex: ex.parallel_for(_noop_kernel, T),
-            params={"backend": backend, "threads": T}, repeats=repeats,
-        ))
-        records.append(measure_case(
-            "pool-overhead", f"backend-krp/{backend}/T{T}",
-            lambda ex=ex: khatri_rao_parallel(mats, executor=ex),
-            params={"backend": backend, "threads": T, "Z": 3, "C": 16},
-            repeats=repeats,
-        ))
+    records.append(measure_case(
+        "pool-overhead", f"krp/T{T}",
+        lambda: khatri_rao_parallel(mats, num_threads=T),
+        params={"threads": T, "Z": 3, "C": 16}, repeats=repeats,
+    ))
     return records
-
-
-def _noop_kernel(worker, start, stop):
-    pass
 
 
 # --------------------------------------------------------------------- #

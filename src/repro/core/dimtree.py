@@ -32,22 +32,20 @@ Execution (this module's second generation):
 
 * the first level (:func:`left_partial`/:func:`right_partial`) computes
   the partial KRP with :func:`~repro.core.krp_parallel.khatri_rao_parallel`
-  on the executor backend and GEMMs into a preallocated node buffer via
+  on the thread pool and GEMMs into a preallocated node buffer via
   ``out=``;
 * the second level (:func:`node_mttkrp`) is **batched**: the node is
   viewed as a ``(C, DL, d_keep, DR)`` stack of per-rank-column slabs (one
   zero-copy ``reshape``+``transpose`` of the natural layout) and both
   contractions run as batched BLAS calls over *all* rank columns at once,
-  parallelized with an executor ``parallel_for`` over contiguous block
+  parallelized with a pool ``parallel_for`` over contiguous block
   ranges of the contracted axis into per-worker private outputs plus a
-  tree ``reduce`` — the same pattern as
+  tree reduction — the same pattern as
   :func:`~repro.core.mttkrp_onestep.mttkrp_onestep`;
 * all scratch (KRP panels, node buffers, Kronecker panels, private
   outputs) comes from a :class:`~repro.parallel.workspace.Workspace`, so a
   caller that reuses one across iterations (as ``cp_als`` does) performs
-  zero per-iteration allocations after warm-up, and on the process backend
-  every operand already lives in shared memory (zero marshalling copies
-  per region).
+  zero per-iteration allocations after warm-up.
 
 The pre-batching implementation is kept as
 :func:`node_mttkrp_columnwise` (one kron+GEMV chain per rank column):
@@ -65,9 +63,10 @@ import numpy as np
 from repro.core.flops import gemm_cost, node_mttkrp_cost
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.obs import get_tracer
-from repro.parallel.backend import Executor, get_executor
 from repro.parallel.blas import blas_threads
 from repro.parallel.config import resolve_threads
+from repro.parallel.pool import ThreadPool, get_pool
+from repro.parallel.reduction import parallel_reduce
 from repro.parallel.workspace import Workspace
 from repro.tensor.dense import DenseTensor
 from repro.util import prod
@@ -90,7 +89,7 @@ def mttkrp_dimtree(
     n: int,
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    executor: "Executor | None" = None,
+    pool: ThreadPool | None = None,
     workspace: "Workspace | None" = None,
     slot: str | None = None,
 ) -> np.ndarray:
@@ -125,20 +124,20 @@ def mttkrp_dimtree(
     if n < m:
         node = left_partial(
             tensor, factors, m, num_threads=num_threads, timers=timers,
-            executor=executor, workspace=workspace,
+            pool=pool, workspace=workspace,
         )
         return node_mttkrp(
             node, factors[:m], keep=n, num_threads=num_threads,
-            timers=timers, executor=executor, workspace=workspace,
+            timers=timers, pool=pool, workspace=workspace,
             slot=slot,
         )
     node = right_partial(
         tensor, factors, m, num_threads=num_threads, timers=timers,
-        executor=executor, workspace=workspace,
+        pool=pool, workspace=workspace,
     )
     return node_mttkrp(
         node, factors[m:], keep=n - m, num_threads=num_threads,
-        timers=timers, executor=executor, workspace=workspace,
+        timers=timers, pool=pool, workspace=workspace,
         slot=slot,
     )
 
@@ -155,18 +154,17 @@ def split_point(N: int) -> int:
     return max(min((N + 1) // 2, N - 1), 1)
 
 
-def _partial_setup(tensor, factors, m, timers, workspace, executor, num_threads):
+def _partial_setup(tensor, factors, m, timers, workspace, pool, num_threads):
     N = tensor.ndim
     C = check_factor_matrices(list(factors), tensor.shape)
     if not 1 <= m <= N - 1:
         raise ValueError(f"split m={m} out of range for order {N}")
     t = timers if timers is not None else NULL_TIMER
     T = resolve_threads(num_threads)
-    ex = executor
-    if ex is None and T > 1:
-        ex = get_executor(T)
-    ws = workspace if workspace is not None else Workspace(ex)
-    return N, C, t, T, ex, ws
+    if pool is None and T > 1:
+        pool = get_pool(T)
+    ws = workspace if workspace is not None else Workspace()
+    return N, C, t, T, pool, ws
 
 
 def left_partial(
@@ -175,13 +173,13 @@ def left_partial(
     m: int,
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    executor: Executor | None = None,
+    pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
 ) -> DenseTensor:
     """``T_L``: contract modes ``m..N-1`` against the right partial KRP.
 
     Returns the order-``m+1`` node of shape ``(I_0, ..., I_{m-1}, C)`` in
-    natural layout.  The KRP runs row-parallel on the executor
+    natural layout.  The KRP runs row-parallel on the pool
     (:func:`~repro.core.krp_parallel.khatri_rao_parallel`); the node is
     one GEMM on the column-major ``X_(0:m-1)`` view (Figure 3a of the
     paper, with ``n = m-1``) written ``out=`` into a workspace buffer.
@@ -191,8 +189,8 @@ def left_partial(
     nothing.  The returned node's flat data *is* the workspace buffer —
     valid until the next ``left_partial`` call on the same workspace.
     """
-    N, C, t, T, ex, ws = _partial_setup(
-        tensor, factors, m, timers, workspace, executor, num_threads
+    N, C, t, T, pool, ws = _partial_setup(
+        tensor, factors, m, timers, workspace, pool, num_threads
     )
     tr = get_tracer()
     ops = [np.asarray(factors[k]) for k in range(N - 1, m - 1, -1)]
@@ -200,7 +198,7 @@ def left_partial(
     dt_k = np.result_type(*ops)
     with t.phase("lr_krp"):
         KR = ws.buffer("dimtree.left.krp", (rows, C), dt_k)
-        khatri_rao_parallel(ops, num_threads=T, out=KR, executor=ex)
+        khatri_rao_parallel(ops, num_threads=T, out=KR, pool=pool)
     size_l = prod(tensor.shape[:m])
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.left.node", (C * size_l,), dt)
@@ -221,7 +219,7 @@ def right_partial(
     m: int,
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    executor: Executor | None = None,
+    pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
 ) -> DenseTensor:
     """``T_R``: contract modes ``0..m-1`` against the left partial KRP.
@@ -230,8 +228,8 @@ def right_partial(
     layout.  One GEMM on the row-major ``X_(0:m-1)^T`` view (Figure 3c);
     KRP/workspace semantics as in :func:`left_partial`.
     """
-    N, C, t, T, ex, ws = _partial_setup(
-        tensor, factors, m, timers, workspace, executor, num_threads
+    N, C, t, T, pool, ws = _partial_setup(
+        tensor, factors, m, timers, workspace, pool, num_threads
     )
     tr = get_tracer()
     ops = [np.asarray(factors[k]) for k in range(m - 1, -1, -1)]
@@ -239,7 +237,7 @@ def right_partial(
     dt_k = np.result_type(*ops)
     with t.phase("lr_krp"):
         KL = ws.buffer("dimtree.right.krp", (rows, C), dt_k)
-        khatri_rao_parallel(ops, num_threads=T, out=KL, executor=ex)
+        khatri_rao_parallel(ops, num_threads=T, out=KL, pool=pool)
     size_r = prod(tensor.shape[m:])
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.right.node", (C * size_r,), dt)
@@ -363,7 +361,7 @@ def node_mttkrp(
     keep: int,
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    executor: Executor | None = None,
+    pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
     slot: str = "node",
 ) -> np.ndarray:
@@ -382,7 +380,7 @@ def node_mttkrp(
     axis.  Results are bit-identical to
     :func:`node_mttkrp_columnwise` when run serially
     (``num_threads=1``); the parallel reduction changes summation order
-    at the usual ulp level but is bit-identical across backends for a
+    at the usual ulp level but is deterministic for a
     fixed thread count.
 
     Parameters
@@ -395,9 +393,9 @@ def node_mttkrp(
     timers:
         Optional phase timer.  Phases: ``"node_krp"`` (Kronecker panels),
         ``"node_gemm"`` (batched contractions), ``"node_reduce"``.
-    executor:
-        Explicit executor; defaults to the shared executor for the
-        configured backend when ``num_threads > 1``.
+    pool:
+        Explicit pool; defaults to the shared
+        :func:`~repro.parallel.pool.get_pool` team when ``num_threads > 1``.
     workspace:
         :class:`~repro.parallel.workspace.Workspace` for all scratch; a
         caller looping over iterations passes one to make every call
@@ -418,10 +416,9 @@ def node_mttkrp(
     tr = get_tracer()
     k, C = _validate_node(node, factors, keep)
     T = resolve_threads(num_threads)
-    ex = executor
-    if ex is None and T > 1:
-        ex = get_executor(T)
-    ws = workspace if workspace is not None else Workspace(ex)
+    if pool is None and T > 1:
+        pool = get_pool(T)
+    ws = workspace if workspace is not None else Workspace()
 
     dims = node.shape[:-1]
     d_keep = dims[keep]
@@ -442,33 +439,35 @@ def node_mttkrp(
         if tr.enabled:
             _add_cost(sp, node_mttkrp_cost(dims, keep, C))
 
-        use_parallel = T > 1 and ex is not None and (right or left)
+        use_parallel = T > 1 and pool is not None and (right or left)
         if use_parallel and right:
             priv = ws.private(f"{slot}.priv", T, (C, DL, d_keep, 1), dt_r)
             clk = ws.private(f"{slot}.clk", T, (), np.float64)
-            ex.parallel_for(
-                _k_node_right,
+            pool.parallel_for(
+                lambda w, lo, hi: _k_node_right(
+                    w, lo, hi, buf, C, DL, d_keep, DR, KRT, priv, clk
+                ),
                 DR,
-                args=(buf, C, DL, d_keep, DR, KRT, priv, clk),
                 label="dimtree.node",
             )
             t.add("node_gemm", float(clk.max()))
             tr.add_counter("gemm_calls", T)
             with t.phase("node_reduce"), tr.span("node_reduce"):
-                tmp = ex.reduce(priv, label="dimtree.node.reduce")[..., 0]
+                tmp = parallel_reduce(priv, pool)[..., 0]
         elif use_parallel:  # right empty, left present: contract DL blocks
             priv = ws.private(f"{slot}.priv", T, (C, 1, d_keep), dt_o)
             clk = ws.private(f"{slot}.clk", T, (), np.float64)
-            ex.parallel_for(
-                _k_node_left,
+            pool.parallel_for(
+                lambda w, lo, hi: _k_node_left(
+                    w, lo, hi, buf, C, DL, d_keep, KLT, priv, clk
+                ),
                 DL,
-                args=(buf, C, DL, d_keep, KLT, priv, clk),
                 label="dimtree.node",
             )
             t.add("node_gemm", float(clk.max()))
             tr.add_counter("gemm_calls", T)
             with t.phase("node_reduce"), tr.span("node_reduce"):
-                out_c = ex.reduce(priv, label="dimtree.node.reduce")[:, 0, :]
+                out_c = parallel_reduce(priv, pool)[:, 0, :]
             out = ws.buffer(f"{slot}.out", (d_keep, C), node.dtype)
             np.copyto(out, out_c.T)
             return out

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.core.mttkrp_baseline import mttkrp_baseline
 from repro.core.mttkrp_onestep import mttkrp_onestep, mttkrp_onestep_sequential
 from repro.core.mttkrp_twostep import mttkrp_twostep
 from repro.obs import get_tracer
-from repro.parallel.config import resolve_threads, use_backend
+from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.util.timing import PhaseTimer
 from repro.util.validation import check_mode
@@ -141,7 +140,7 @@ KERNELS: dict[str, KernelSpec] = {
         ),
         KernelSpec(
             "dimtree", mttkrp_dimtree, prior="dimtree",
-            env_kwargs=("workspace", "executor", "slot"),
+            env_kwargs=("workspace", "pool", "slot"),
         ),
         KernelSpec(
             "baseline", mttkrp_baseline, cost_kind="baseline",
@@ -174,7 +173,6 @@ def mttkrp(
     method: str = "auto",
     num_threads: int | None = None,
     timers: PhaseTimer | None = None,
-    backend: str | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for mode ``n``.
@@ -195,7 +193,7 @@ def mttkrp(
           modes, 2-step for internal modes;
         * ``"autotune"`` — empirical selection (:mod:`repro.tune`): the
           fastest kernel measured for this ``(shape, rank, mode,
-          threads, backend, dtype)`` key, served from the persisted
+          threads, dtype)`` key, served from the persisted
           tuning cache after the first call.  2-way tensors skip
           measurement entirely (every kernel is the same single GEMM).
           Caller kwargs other than the selected kernel's
@@ -212,7 +210,7 @@ def mttkrp(
         * ``"dimtree"`` — the dimension-tree node path for a single mode
           (half-tensor partial contraction + node MTTKRP, see
           :func:`repro.core.dimtree.mttkrp_dimtree`); accepts
-          ``workspace=``/``executor=``/``slot=``;
+          ``workspace=``/``pool=``/``slot=``;
         * ``"baseline"`` — explicit reorder + full KRP + single GEMM.
 
         The non-policy names are the rows of :data:`KERNELS`.
@@ -220,10 +218,6 @@ def mttkrp(
         Thread count; defaults to the package-wide setting.
     timers:
         Optional :class:`~repro.util.timing.PhaseTimer` for breakdowns.
-    backend:
-        Execution backend for the parallel regions, ``"thread"`` or
-        ``"process"`` (see :mod:`repro.parallel.backend`); defaults to the
-        package-wide setting (``set_backend()`` / ``REPRO_BACKEND``).
     **kwargs:
         Forwarded to the selected implementation (e.g. ``side=`` for
         ``"twostep"``).
@@ -250,7 +244,6 @@ def mttkrp(
             factors,
             n,
             num_threads=num_threads,
-            backend=backend,
             workspace=kwargs.get("workspace"),
         )
         passthrough = KERNELS[record.method].env_kwargs
@@ -283,17 +276,15 @@ def mttkrp(
         spec = KERNELS[fallback]
 
     tracer = get_tracer()
-    backend_scope = use_backend(backend) if backend is not None else nullcontext()
-    with backend_scope:
-        if not tracer.enabled:
-            return spec.run(tensor, factors, n, num_threads, timers, **kwargs)
-        with tracer.span(
-            f"mttkrp.{spec.name}", mode=n, shape=list(tensor.shape),
-            autotuned=autotuned,
-        ) as span:
-            # The row's runner attaches the analytic flop/byte counters
-            # and the lower bound to this open span; the dimtree path's
-            # phases carry their flops/bytes on the nested gemm/node spans.
-            out = spec.run(tensor, factors, n, num_threads, timers, **kwargs)
-            span.args["rank"] = int(out.shape[1])
-            return out
+    if not tracer.enabled:
+        return spec.run(tensor, factors, n, num_threads, timers, **kwargs)
+    with tracer.span(
+        f"mttkrp.{spec.name}", mode=n, shape=list(tensor.shape),
+        autotuned=autotuned,
+    ) as span:
+        # The row's runner attaches the analytic flop/byte counters
+        # and the lower bound to this open span; the dimtree path's
+        # phases carry their flops/bytes on the nested gemm/node spans.
+        out = spec.run(tensor, factors, n, num_threads, timers, **kwargs)
+        span.args["rank"] = int(out.shape[1])
+        return out

@@ -8,10 +8,7 @@ assigned row — which is precisely what :func:`repro.core.krp.krp_rows` does
 for an arbitrary row range.
 
 The output rows live in a single shared matrix; because the blocks are
-disjoint there are no write conflicts and no reduction is needed.  Under the
-process backend (:mod:`repro.parallel.backend`) the shared matrix is a
-shared-memory segment, so the row-wise Python loop — the part the GIL
-serializes on the thread backend — runs genuinely parallel.
+disjoint there are no write conflicts and no reduction is needed.
 """
 
 from __future__ import annotations
@@ -23,23 +20,13 @@ import numpy as np
 from repro.core.flops import krp_cost
 from repro.core.krp import krp_rows, krp_rows_naive
 from repro.obs import get_tracer
-from repro.parallel.backend import Executor, get_executor
 from repro.parallel.config import resolve_threads
+from repro.parallel.pool import ThreadPool, get_pool
+from repro.parallel.reduction import allocate_shared
 from repro.util import prod
 from repro.util.validation import check_same_columns
 
 __all__ = ["khatri_rao_parallel"]
-
-
-def _k_krp_rows(worker, start, stop, mats, out, naive) -> None:
-    """Region kernel: rows ``[start, stop)`` of the KRP into shared ``out``.
-
-    Each worker writes only its disjoint row block; ``krp_rows`` re-derives
-    the multi-index state from ``start``, so results are independent of the
-    partition (and hence of the backend).
-    """
-    kernel = krp_rows_naive if naive else krp_rows
-    kernel(mats, start, stop, out=out[start:stop])
 
 
 def khatri_rao_parallel(
@@ -47,7 +34,7 @@ def khatri_rao_parallel(
     num_threads: int | None = None,
     out: np.ndarray | None = None,
     schedule: str = "reuse",
-    executor: Executor | None = None,
+    pool: ThreadPool | None = None,
 ) -> np.ndarray:
     """Khatri-Rao product computed by a team of workers over row blocks.
 
@@ -60,15 +47,13 @@ def khatri_rao_parallel(
         Worker count; defaults to the package-wide setting
         (:func:`repro.parallel.config.get_num_threads`).
     out:
-        Optional preallocated ``(prod J_z, C)`` row-major output.  Under the
-        process backend, an ``out`` the workers cannot address directly is
-        filled through one extra copy from a shared staging buffer.
+        Optional preallocated ``(prod J_z, C)`` row-major output.
     schedule:
         ``"reuse"`` (Algorithm 1) or ``"naive"`` (the Figure 4 baseline);
         both are parallelized identically.
-    executor:
-        Explicit executor to run on; defaults to the shared executor for
-        the configured backend (:func:`repro.parallel.backend.get_executor`).
+    pool:
+        Explicit pool to run on; defaults to the shared
+        :func:`~repro.parallel.pool.get_pool` team of ``num_threads``.
 
     Returns
     -------
@@ -80,9 +65,9 @@ def khatri_rao_parallel(
     rows = prod(m.shape[0] for m in mats)
     T = resolve_threads(num_threads)
     if schedule == "reuse":
-        naive = False
+        kernel = krp_rows
     elif schedule == "naive":
-        naive = True
+        kernel = krp_rows_naive
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     dtype = np.result_type(*mats)
@@ -95,20 +80,21 @@ def khatri_rao_parallel(
         sp.add("flops", cost.flops)
         sp.add("bytes_read", cost.read_bytes)
         sp.add("bytes_written", cost.write_bytes)
-        if T == 1 and executor is None:
+        if T == 1 and pool is None:
             if out is None:
                 out = np.empty((rows, C), dtype=dtype)
-            kernel = krp_rows_naive if naive else krp_rows
             return kernel(mats, 0, rows, out=out)
 
-        ex = executor if executor is not None else get_executor(T)
-        target = out
-        if target is None or not ex.owns_shared(target):
-            target = ex.allocate_shared((rows, C), dtype)
-        ex.parallel_for(
-            _k_krp_rows, rows, args=(mats, target, naive), label="krp.rows"
-        )
-        if out is not None and target is not out:
-            np.copyto(out, target)
-            return out
-        return target
+        if pool is None:
+            pool = get_pool(T)
+        if out is None:
+            out = allocate_shared((rows, C), dtype)
+
+        def rows_block(worker: int, start: int, stop: int) -> None:
+            # Each worker writes only its disjoint row block; the kernel
+            # re-derives the multi-index state from ``start``, so results
+            # are independent of the partition.
+            kernel(mats, start, stop, out=out[start:stop])
+
+        pool.parallel_for(rows_block, rows, label="krp.rows")
+        return out

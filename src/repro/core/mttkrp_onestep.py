@@ -39,8 +39,9 @@ import numpy as np
 from repro.core.krp import khatri_rao, krp_rows
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.obs import get_tracer
-from repro.parallel.backend import get_executor
 from repro.parallel.config import resolve_threads
+from repro.parallel.pool import get_pool
+from repro.parallel.reduction import allocate_private, allocate_shared, parallel_reduce
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
 from repro.util.timing import NULL_TIMER, PhaseTimer, wall_time as _clock
@@ -183,9 +184,6 @@ def _k_external(
 
     Worker-private: rows ``[start, stop)`` of the KRP (Alg. 1 variant
     starting mid-stream) and the private output slab ``out[worker]``.
-    Module-level (not a closure) so the process backend can ship it by
-    reference; the matricization view is rebuilt inside the worker, which
-    under shared memory has the exact strides of the parent's view.
     """
     # X_(0) is the column-major unfold; X_(N-1) the row-major one.  Either
     # way a contiguous *column* slice is directly GEMM-able.
@@ -224,24 +222,25 @@ def _onestep_external(
             tr.add_counter("gemm_calls", 1)
             return Xn @ K
 
-    ex = get_executor(T)
-    out = ex.allocate_private(T, (p.size, rank), dtype=tensor.dtype)
+    pool = get_pool(T)
+    out = allocate_private(T, (p.size, rank), dtype=tensor.dtype)
     # Per-worker phase clocks: the wall-clock contribution of a phase inside
     # a parallel region is its maximum across workers (the paper instruments
     # its OpenMP regions the same way for Figure 6).
-    krp_seconds = ex.allocate_shared((T,))
-    gemm_seconds = ex.allocate_shared((T,))
-    ex.parallel_for(
-        _k_external,
+    krp_seconds = allocate_shared((T,))
+    gemm_seconds = allocate_shared((T,))
+    pool.parallel_for(
+        lambda w, lo, hi: _k_external(
+            w, lo, hi, tensor, n, operands, out, krp_seconds, gemm_seconds
+        ),
         p.other,
-        args=(tensor, n, operands, out, krp_seconds, gemm_seconds),
         label="mttkrp.onestep.external",
     )
     t.add("full_krp", float(krp_seconds.max()))
     t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", T)
     with t.phase("reduce"), tr.span("reduce"):
-        return ex.reduce(out, label="mttkrp.reduce").copy()
+        return parallel_reduce(out, pool).copy()
 
 
 def _internal_chunk(block_cols: int, rank: int, total_blocks: int) -> int:
@@ -315,11 +314,7 @@ def _k_internal(
     gemm_seconds: np.ndarray,
     gemm_calls: np.ndarray,
 ) -> None:
-    """Region kernel for Alg. 3 lines 10-17: one worker's block range.
-
-    Module-level for the process backend; the 3-D block view of the
-    matricization is rebuilt in the worker over the shared tensor buffer.
-    """
+    """Region kernel for Alg. 3 lines 10-17: one worker's block range."""
     blocks3 = tensor.mode_blocks_view(n)  # (IRn, In, ILn)
     krp_seconds[worker], gemm_seconds[worker], gemm_calls[worker] = (
         _internal_range(
@@ -355,28 +350,26 @@ def _onestep_internal(
         tr.add_counter("gemm_calls", calls)
         return M
 
-    ex = get_executor(T)
+    pool = get_pool(T)
     with t.phase("lr_krp"), tr.span("lr_krp"):
         # Left partial KRP K_L = U_{n-1} krp ... krp U_0, formed in parallel
-        # on the same executor (under the process backend it lands directly
-        # in a shared segment, so the region below attaches it zero-copy).
-        KL = khatri_rao_parallel(left_ops, num_threads=T, executor=ex)
+        # on the same pool.
+        KL = khatri_rao_parallel(left_ops, num_threads=T, pool=pool)
 
-    out = ex.allocate_private(T, (p.size, rank), dtype=tensor.dtype)
-    krp_seconds = ex.allocate_shared((T,))
-    gemm_seconds = ex.allocate_shared((T,))
-    gemm_calls = ex.allocate_shared((T,), dtype=np.int64)
-    ex.parallel_for(
-        _k_internal,
-        p.right,
-        args=(
-            tensor, n, right_ops, KL, out,
+    out = allocate_private(T, (p.size, rank), dtype=tensor.dtype)
+    krp_seconds = allocate_shared((T,))
+    gemm_seconds = allocate_shared((T,))
+    gemm_calls = allocate_shared((T,), dtype=np.int64)
+    pool.parallel_for(
+        lambda w, lo, hi: _k_internal(
+            w, lo, hi, tensor, n, right_ops, KL, out,
             krp_seconds, gemm_seconds, gemm_calls,
         ),
+        p.right,
         label="mttkrp.onestep.internal",
     )
     t.add("lr_krp", float(krp_seconds.max()))
     t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", int(gemm_calls.sum()))
     with t.phase("reduce"), tr.span("reduce"):
-        return ex.reduce(out, label="mttkrp.reduce").copy()
+        return parallel_reduce(out, pool).copy()

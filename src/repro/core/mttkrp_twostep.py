@@ -38,9 +38,8 @@ import numpy as np
 
 from repro.core.krp import khatri_rao
 from repro.obs import get_tracer
-from repro.parallel.backend import get_executor
-from repro.parallel.blas import assert_native_layout, blas_threads
-from repro.parallel.config import get_backend, resolve_threads
+from repro.parallel.blas import blas_threads
+from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
 from repro.tensor.ttv import multi_ttv
@@ -122,29 +121,9 @@ def mttkrp_twostep(
     if side == "auto":
         side = choose_side(tensor.shape, n)
 
-    # Under the process backend the multi-TTV's Python-level column loop is
-    # fanned over worker processes; step 1's GEMM output is then computed
-    # straight into a shared-memory buffer so the workers attach it
-    # zero-copy.  Otherwise (thread backend, or one worker) everything runs
-    # as in the sequential algorithm — step 1 is a single BLAS call either
-    # way, so the two backends issue identical GEMMs.
-    ex = (
-        get_executor(T, backend="process")
-        if T > 1 and get_backend() == "process"
-        else None
-    )
     C = KL.shape[1]
-    res_dtype = np.result_type(tensor.dtype, KL.dtype)
-
-    def _intermediate_buffer(entries: int) -> np.ndarray | None:
-        if ex is None:
-            return None
-        return ex.allocate_shared((entries,), dtype=res_dtype)
-
     with blas_threads(T):
         if side == "left":
-            cols = tensor.size // int(np.prod(tensor.shape[:n]))
-            buf = _intermediate_buffer(C * cols)
             # Step 1 (Fig. 3c): L = X_(0:n-1)^T . K_L; the transpose view is
             # row-major, so this is a single well-shaped GEMM.
             with t.phase("gemm"), tr.span("gemm", side="left"):
@@ -152,66 +131,34 @@ def mttkrp_twostep(
                 # C-contiguous GEMM output *is* the natural layout of L —
                 # same BLAS call, no data movement afterwards.
                 tr.add_counter("gemm_calls", 1)
-                if buf is None:
-                    LmatT = KL.T @ tensor.unfold_front(n - 1)
-                    flat = LmatT.ravel()
-                else:
-                    # Runtime backing for the RA004 suppression below
-                    # (checked only under REPRO_SANITIZE).
-                    assert_native_layout(
-                        buf.reshape((C, cols)), "twostep.gemm.left.out"
-                    )
-                    np.matmul(
-                        KL.T, tensor.unfold_front(n - 1),
-                        # buf is a flat 1-D shared allocation, so this
-                        # reshape is C-contiguous.  # repro: ignore[RA004]
-                        out=buf.reshape((C, cols)),
-                    )
-                    flat = buf
+                LmatT = KL.T @ tensor.unfold_front(n - 1)
             # L is the (I_n x I_{n+1} x ... x I_{N-1} x C) intermediate in
             # natural layout (rows of L linearize modes n.., mode n fastest),
             # reinterpreted for free.
-            L = DenseTensor(flat, tensor.shape[n:] + (C,))
+            L = DenseTensor(LmatT.ravel(), tensor.shape[n:] + (C,))
             with t.phase("gemv"), tr.span("gemv", side="left"):
                 # Step 2 (Fig. 3d): contract trailing modes against K_R's
                 # columns, one GEMV per rank column.
                 tr.add_counter("gemv_calls", C)
                 return multi_ttv(
                     L, [np.asarray(factors[k]) for k in range(n + 1, N)],
-                    leading=True, executor=ex,
+                    leading=True,
                 )
         else:
-            cols = int(np.prod(tensor.shape[: n + 1]))
-            buf = _intermediate_buffer(C * cols)
             # Step 1 (Fig. 3a): R = X_(0:n) . K_R on the column-major view.
             with t.phase("gemm"), tr.span("gemm", side="right"):
                 # Transposed form (R^T = K_R^T . X_(0:n)^T) for the same
                 # reason: the GEMM writes R directly in natural layout.
                 tr.add_counter("gemm_calls", 1)
-                if buf is None:
-                    RmatT = KR.T @ tensor.unfold_front(n).T
-                    flat = RmatT.ravel()
-                else:
-                    # Runtime backing for the RA004 suppression below
-                    # (checked only under REPRO_SANITIZE).
-                    assert_native_layout(
-                        buf.reshape((C, cols)), "twostep.gemm.right.out"
-                    )
-                    np.matmul(
-                        KR.T, tensor.unfold_front(n).T,
-                        # buf is a flat 1-D shared allocation, so this
-                        # reshape is C-contiguous.  # repro: ignore[RA004]
-                        out=buf.reshape((C, cols)),
-                    )
-                    flat = buf
-            R = DenseTensor(flat, tensor.shape[: n + 1] + (C,))
+                RmatT = KR.T @ tensor.unfold_front(n).T
+            R = DenseTensor(RmatT.ravel(), tensor.shape[: n + 1] + (C,))
             with t.phase("gemv"), tr.span("gemv", side="right"):
                 # Step 2 (Fig. 3b): contract leading modes against K_L's
                 # columns.
                 tr.add_counter("gemv_calls", C)
                 return multi_ttv(
                     R, [np.asarray(factors[k]) for k in range(n)],
-                    leading=False, executor=ex,
+                    leading=False,
                 )
 
 

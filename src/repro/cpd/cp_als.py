@@ -22,7 +22,6 @@ convergence checking adds no extra pass over the tensor.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from repro.cpd.gram import GramCache
 from repro.obs import get_tracer
 from repro.cpd.init import initialize_factors
 from repro.cpd.kruskal import KruskalTensor
-from repro.parallel.config import use_backend
 from repro.tensor.dense import DenseTensor
 from repro.util.timing import PhaseTimer, wall_time
 
@@ -110,7 +108,6 @@ def cp_als(
     method: str | Sequence[str] = "auto",
     mode_strategy: str = "auto",
     num_threads: int | None = None,
-    backend: str | None = None,
     rng: np.random.Generator | int | None = None,
     verbose: bool = False,
     workspace: "Workspace | None" = None,
@@ -158,11 +155,6 @@ def cp_als(
         resolved strategy.
     num_threads:
         Thread count for the MTTKRP kernels.
-    backend:
-        Execution backend for the parallel regions, ``"thread"`` or
-        ``"process"`` (see :mod:`repro.parallel.backend`); defaults to the
-        package-wide setting (``set_backend()`` / ``REPRO_BACKEND``).  The
-        iterates are bit-identical across backends.
     rng:
         Seed/generator for random initialization.
     verbose:
@@ -293,7 +285,7 @@ def cp_als(
                 M = node_mttkrp(
                     node, factors[lo:hi], keep=n - lo,
                     num_threads=num_threads, timers=timers,
-                    executor=executor, workspace=ws,
+                    pool=pool, workspace=ws,
                     slot=f"{slot}[{n - lo}]",
                 )
                 update_mode(n, M, it)
@@ -302,8 +294,7 @@ def cp_als(
                 record_mttkrp_cost(tracer, tensor.shape, n, rank, None)
         return M
 
-    backend_scope = use_backend(backend) if backend is not None else nullcontext()
-    with backend_scope, tracer.span(
+    with tracer.span(
         "cp_als",
         rank=rank,
         shape=list(tensor.shape),
@@ -312,27 +303,27 @@ def cp_als(
         tune=tune,
     ):
         # Long-lived runtime state, acquired once and reused by every
-        # iteration: the executor team and the workspace arena owning the
+        # iteration: the thread pool and the workspace arena owning the
         # node buffers, KRP panels and private outputs (zero per-iteration
         # allocations after the first iteration warms the arena up).  The
         # arena also backs the autotuner's measurement runs and any
         # per-mode "dimtree" picks.
         ws = None
         own_ws = False
-        executor = None
+        pool = None
         needs_ws = (
             mode_strategy == "dimtree"
             or tune
             or any(spec == "dimtree" for spec in methods)
         )
         if needs_ws:
-            from repro.parallel.backend import get_executor
             from repro.parallel.config import resolve_threads
+            from repro.parallel.pool import get_pool
             from repro.parallel.workspace import Workspace
 
             T = resolve_threads(num_threads)
-            executor = get_executor(T) if T > 1 else None
-            ws = workspace if workspace is not None else Workspace(executor)
+            pool = get_pool(T) if T > 1 else None
+            ws = workspace if workspace is not None else Workspace()
             own_ws = workspace is None
         m = split_point(N)  # the dimension tree's left-half mode count
         mode_kwargs: list[dict] = [{} for _ in range(N)]
@@ -360,7 +351,7 @@ def cp_als(
         for n in range(N):
             if methods[n] == "dimtree":
                 mode_kwargs[n]["workspace"] = ws
-                mode_kwargs[n]["executor"] = executor
+                mode_kwargs[n]["pool"] = pool
         try:
             if cancel is not None:
                 cancel.raise_if_cancelled()
@@ -391,7 +382,7 @@ def cp_als(
                             T_L = left_partial(
                                 tensor, factors, m,
                                 num_threads=num_threads, timers=timers,
-                                executor=executor, workspace=ws,
+                                pool=pool, workspace=ws,
                             )
                         update_half(T_L, 0, m, "nodeL", it)
                         # T_R must see the freshly updated left factors.
@@ -399,7 +390,7 @@ def cp_als(
                             T_R = right_partial(
                                 tensor, factors, m,
                                 num_threads=num_threads, timers=timers,
-                                executor=executor, workspace=ws,
+                                pool=pool, workspace=ws,
                             )
                         M = update_half(T_R, m, N, "nodeR", it)
                     result.iteration_times.append(wall_time() - t_start)

@@ -1,23 +1,10 @@
-"""Package-wide parallel-runtime configuration: worker count and backend.
+"""Package-wide parallel-runtime configuration: the default worker count.
 
 All parallel entry points in :mod:`repro.core` and :mod:`repro.cpd` accept
 an explicit ``num_threads`` argument; when it is omitted they fall back to
 the value configured here.  The default is the host CPU count (as an OpenMP
 runtime would choose), overridable via the ``REPRO_NUM_THREADS`` environment
 variable or programmatically.
-
-The **execution backend** selects how parallel regions run
-(:mod:`repro.parallel.backend`):
-
-* ``"thread"`` (default) — the persistent :class:`~repro.parallel.pool.ThreadPool`;
-  overlap comes from NumPy kernels releasing the GIL;
-* ``"process"`` — persistent worker processes over
-  :mod:`multiprocessing.shared_memory` segments; Python-level hot loops
-  (row-wise KRP with reuse, the internal-mode block loop, the multi-TTV
-  GEMV loop) run free of the GIL.
-
-Select with ``set_backend()`` / the ``use_backend()`` context manager, or
-the ``REPRO_BACKEND`` environment variable.
 """
 
 from __future__ import annotations
@@ -31,11 +18,6 @@ __all__ = [
     "set_num_threads",
     "num_threads",
     "resolve_threads",
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "resolve_backend",
 ]
 
 _lock = threading.Lock()
@@ -96,67 +78,3 @@ def resolve_threads(num_threads_arg: int | None) -> int:
     if n <= 0:
         raise ValueError(f"num_threads must be positive, got {n}")
     return n
-
-
-# --------------------------------------------------------------------- #
-# Execution backend selection
-# --------------------------------------------------------------------- #
-
-BACKENDS = ("thread", "process")
-
-_backend_value: str | None = None
-
-
-def _check_backend(name: str) -> str:
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}"
-        )
-    return name
-
-
-def _default_backend() -> str:
-    env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if env in BACKENDS:
-        return env
-    return "thread"
-
-
-def get_backend() -> str:
-    """The current default execution backend (``"thread"`` or ``"process"``)."""
-    with _lock:
-        return _backend_value if _backend_value is not None else _default_backend()
-
-
-def set_backend(name: str) -> None:
-    """Set the package-wide default execution backend."""
-    name = _check_backend(name)
-    global _backend_value
-    with _lock:
-        _backend_value = name
-
-
-@contextmanager
-def use_backend(name: str):
-    """Context manager scoping the default execution backend.
-
-    >>> with use_backend("process"):
-    ...     pass  # parallel regions in here run on the process backend
-    """
-    global _backend_value
-    with _lock:
-        previous = _backend_value
-    set_backend(name)
-    try:
-        yield
-    finally:
-        with _lock:
-            _backend_value = previous
-
-
-def resolve_backend(backend_arg: str | None) -> str:
-    """Normalize an optional per-call backend name against the default."""
-    if backend_arg is None:
-        return get_backend()
-    return _check_backend(backend_arg)

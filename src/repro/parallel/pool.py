@@ -239,7 +239,7 @@ class ThreadPool:
             raise RuntimeError(
                 "nested parallel region: a worker of this pool cannot "
                 "launch a region on its own pool; use a separate pool "
-                "(or backend) for nested parallelism"
+                "for nested parallelism"
             )
         # The region lock serializes concurrent launches from independent
         # caller threads — without it they interleave on _tasks/_pending/

@@ -1,6 +1,6 @@
 """Runtime write-set race sanitizer for pool regions.
 
-The thread backend's correctness rests on one property the static lint can
+The thread pool's correctness rests on one property the static lint can
 only approximate: during a parallel region, the byte ranges each worker
 writes into a shared array are pairwise disjoint (the paper's Algorithm 1/3
 contiguous-block contract).  This module checks that property *for real*:
@@ -23,9 +23,7 @@ production path pays nothing.
 
 It lives in the runtime, not in :mod:`repro.analysis`, so running the
 pool never loads the static analyzer.  It deliberately imports nothing
-else from :mod:`repro.parallel` — ``pool.py`` imports *us*, and the
-sanitizer must stay usable from worker processes before the parallel
-package is configured.
+else from :mod:`repro.parallel` — ``pool.py`` imports *us*.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ _ENV_FLAG = "REPRO_SANITIZE"
 
 
 class SanitizerError(RuntimeError):
-    """A shared-memory bounds/lifetime contract violation."""
+    """A runtime contract violation: overlapping worker writes or a
+    non-native BLAS operand layout."""
 
 
 class RaceError(SanitizerError):
@@ -441,17 +440,6 @@ class Sanitizer:
                     prev_hi = hi
                     prev = (lo, hi, worker)
 
-    # -- shm contract checks (process backend) ------------------------- #
-
-    def check_shm_bounds(self, nbytes_needed: int, seg_size: int,
-                         name: str) -> None:
-        if nbytes_needed > seg_size:
-            raise SanitizerError(
-                f"shm segment {name!r} is {seg_size} bytes but the handle "
-                f"describes an array of {nbytes_needed} bytes — stale or "
-                f"corrupted handle"
-            )
-
 
 # --------------------------------------------------------------------- #
 # Global accessor + context manager
@@ -493,7 +481,8 @@ def is_sanitizing() -> bool:
 def sanitize():
     """Force the sanitizer on for the duration of the block.
 
-    Arrays allocated inside the block (through ``ThreadExecutor``) are
+    Arrays allocated inside the block (through
+    :func:`~repro.parallel.reduction.allocate_shared` / ``allocate_private``) are
     instrumented; regions run inside it are checked at their barriers.
     """
     global _forced

@@ -4,23 +4,16 @@ CP-ALS runs the same contractions every iteration on buffers of identical
 shapes: the dimension-tree node buffers ``T_L``/``T_R``, the partial-KRP
 panels they are GEMMed against, and the per-worker private outputs of the
 second-level contractions.  Allocating those afresh each iteration costs
-page faults and memset time *and* — on the process backend — would force
-a shared-memory export per iteration.  A :class:`Workspace` owns them
-instead:
+page faults and memset time.  A :class:`Workspace` owns them instead:
 
 * buffers are acquired **by name** (plus shape/dtype); the first acquire
   allocates, every later acquire with the same signature returns the same
   array.  Callers must fully overwrite a buffer before reading it (the
   arena hands out scratch, not values);
-* allocation goes through the owning executor's ``allocate_shared`` /
-  ``allocate_private``, so buffers inherit the backend's visibility
-  guarantees for free: on the thread backend they are sanitizer-wrapped
-  (:mod:`repro.parallel.sanitizer` sees every worker write for race
-  checking), on the process backend they live in the executor's shm arena
-  (:mod:`repro.parallel.shm`), so parent writes — e.g. the partial GEMM
-  filling a node — are visible to worker processes with **zero copies per
-  iteration** (the arena's export-by-identity cache returns the existing
-  segment handle);
+* allocation goes through :func:`~repro.parallel.reduction.allocate_shared`
+  / :func:`~repro.parallel.reduction.allocate_private`, so with the
+  sanitizer on (:mod:`repro.parallel.sanitizer`) every buffer is
+  instrumented and pool workers' writes into it are race-checked;
 * :attr:`Workspace.stats` counts allocations vs reuses — the steady-state
   invariant "zero allocations per iteration after warm-up" is therefore
   testable as ``stats.allocations`` not growing between iterations;
@@ -28,9 +21,8 @@ instead:
   reduction over reused slabs must not pick up stale partial sums from
   workers whose block range is empty this time around.
 
-Lifetime: :meth:`close` drops all references; on the process backend the
-arena's weakref eviction then retires the underlying segments.  The
-workspace is also a context manager.
+Lifetime: :meth:`close` drops all references.  The workspace is also a
+context manager.
 """
 
 from __future__ import annotations
@@ -38,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.parallel.reduction import allocate_private, allocate_shared
 
 __all__ = ["Workspace", "WorkspaceStats"]
 
@@ -60,25 +54,12 @@ class WorkspaceStats:
 
 
 class Workspace:
-    """Named, executor-backed buffer cache reused across iterations.
+    """Named buffer cache reused across iterations."""
 
-    Parameters
-    ----------
-    executor:
-        The :class:`~repro.parallel.backend.Executor` whose workers will
-        touch the buffers, or ``None`` for plain process-local NumPy
-        allocation (serial use, tests).
-    """
-
-    def __init__(self, executor=None) -> None:
-        self._executor = executor
+    def __init__(self) -> None:
         self._buffers: dict[str, tuple[tuple, np.ndarray]] = {}
         self.stats = WorkspaceStats()
         self._closed = False
-
-    @property
-    def executor(self):
-        return self._executor
 
     # -- acquisition ---------------------------------------------------- #
 
@@ -105,12 +86,9 @@ class Workspace:
         shape = tuple(int(s) for s in shape)
         dt = np.dtype(dtype)
 
-        def allocate():
-            if self._executor is not None:
-                return self._executor.allocate_shared(shape, dtype=dt)
-            return np.zeros(shape, dtype=dt, order="C")
-
-        return self._acquire(name, (shape, dt), allocate)
+        return self._acquire(
+            name, (shape, dt), lambda: allocate_shared(shape, dtype=dt)
+        )
 
     def private(
         self, name: str, copies: int, shape: tuple[int, ...], dtype=np.float64
@@ -126,12 +104,10 @@ class Workspace:
         shape = (copies,) + tuple(int(s) for s in shape)
         dt = np.dtype(dtype)
 
-        def allocate():
-            if self._executor is not None:
-                return self._executor.allocate_private(copies, shape[1:], dtype=dt)
-            return np.zeros(shape, dtype=dt, order="C")
-
-        array = self._acquire(name, (shape, dt), allocate)
+        array = self._acquire(
+            name, (shape, dt),
+            lambda: allocate_private(copies, shape[1:], dtype=dt),
+        )
         array[...] = 0
         return array
 
@@ -161,11 +137,7 @@ class Workspace:
         return len(self._buffers)
 
     def close(self) -> None:
-        """Drop every buffer reference.  Idempotent.
-
-        On the process backend this lets the shm arena's weakref eviction
-        retire the segments (unless the caller still holds a view).
-        """
+        """Drop every buffer reference.  Idempotent."""
         self._buffers.clear()
         self._closed = True
 

@@ -82,8 +82,7 @@ class AsyncJobServer:
 
 _SPEC_FIELDS = (
     "rank", "tensor_ref", "n_iter_max", "tol", "method", "num_threads",
-    "backend", "seed", "priority", "timeout", "arena_bytes", "batchable",
-    "trace",
+    "seed", "priority", "timeout", "arena_bytes", "batchable", "trace",
 )
 
 

@@ -109,10 +109,6 @@ def validate_spec(spec: JobSpec) -> JobSpec:
         raise AdmissionError(
             "num_threads", f"must be >= 1, got {spec.num_threads}"
         )
-    if spec.backend not in (None, "thread", "process"):
-        raise AdmissionError(
-            "backend", f"must be 'thread' or 'process', got {spec.backend!r}"
-        )
 
     if spec.tensor_ref is not None:
         if not os.path.exists(spec.tensor_ref):

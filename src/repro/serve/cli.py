@@ -7,7 +7,7 @@ Subcommands::
     repro-serve submit --socket PATH (--ref FILE | --random I,J,K)
                        --rank R [--seed S] [--priority P] [--timeout T]
                        [--n-iter-max N] [--tol F] [--threads T]
-                       [--backend B] [--wait] [--save FILE]
+                       [--wait] [--save FILE]
     repro-serve status --socket PATH JOB_ID
     repro-serve cancel --socket PATH JOB_ID [--reason TEXT]
     repro-serve stats --socket PATH
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--n-iter-max", type=int, default=50)
     p_submit.add_argument("--tol", type=float, default=1e-8)
     p_submit.add_argument("--threads", type=int, default=None)
-    p_submit.add_argument("--backend", default=None,
-                          choices=("thread", "process"))
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the result and print a summary")
     p_submit.add_argument("--save", default=None,
@@ -135,7 +133,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "n_iter_max": args.n_iter_max,
         "tol": args.tol,
         "num_threads": args.threads,
-        "backend": args.backend,
     }
     if args.ref is not None:
         spec["tensor_ref"] = args.ref

@@ -126,7 +126,7 @@ class JobSpec:
         *worker* loads it, so large tensors never transit the queue.
         Ref jobs always run solo (the parent cannot group what it has
         not seen).
-    n_iter_max / tol / method / num_threads / backend / seed:
+    n_iter_max / tol / method / num_threads / seed:
         Solver options, forwarded to :func:`repro.cpd.cp_als.cp_als`
         (solo) or :func:`repro.batch.fleet.cp_als_fleet` (coalesced) —
         ``seed`` becomes the ``rng`` so reruns are bit-reproducible.
@@ -156,7 +156,6 @@ class JobSpec:
     tol: float = 1e-8
     method: str = "auto"
     num_threads: int | None = None
-    backend: str | None = None
     seed: int | None = None
     priority: int = 0
     timeout: float | None = None

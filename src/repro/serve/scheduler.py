@@ -9,7 +9,7 @@ module owns the two policy questions the serving loop asks:
 * :func:`group_key` — *may* this job be coalesced at all, and with
   whom?  Jobs group only when a fleet run is semantically equivalent to
   their solo runs: same shape, rank, dtype, iteration budget,
-  tolerance, thread/backend placement, and default (seeded-random)
+  tolerance, thread placement, and default (seeded-random)
   initialization.  Oversized items, ``trace=True`` jobs (their spans
   would interleave), file-ref payloads (the parent never sees the
   tensor), and ``batchable=False`` jobs stay solo.
@@ -53,7 +53,6 @@ class GroupKey(NamedTuple):
     n_iter_max: int
     tol: float
     num_threads: int | None
-    backend: str | None
 
 
 def group_key(job, *, max_item_elems: int) -> GroupKey | None:
@@ -85,7 +84,6 @@ def group_key(job, *, max_item_elems: int) -> GroupKey | None:
         n_iter_max=int(spec.n_iter_max),
         tol=float(spec.tol),
         num_threads=spec.num_threads,
-        backend=spec.backend,
     )
 
 
@@ -100,7 +98,7 @@ def batching_pays(key: GroupKey, group_size: int) -> bool:
     """
     if group_size < 2:
         return False
-    from repro.parallel.config import resolve_backend, resolve_threads
+    from repro.parallel.config import resolve_threads
     from repro.tune.cache import TuneKey, get_cache
 
     tune_key = TuneKey.make(
@@ -108,7 +106,6 @@ def batching_pays(key: GroupKey, group_size: int) -> bool:
         key.rank,
         0,
         resolve_threads(key.num_threads),
-        resolve_backend(key.backend),
         key.dtype,
         batch=min(int(group_size), _PROXY_BATCH_LIMIT),
     )

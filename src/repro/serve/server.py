@@ -565,7 +565,6 @@ class JobServer:
             "tol": spec.tol,
             "method": spec.method,
             "num_threads": spec.num_threads,
-            "backend": spec.backend,
             "seed": spec.seed,
             "trace": spec.trace,
             "progress_every": self.config.progress_every,
@@ -586,7 +585,6 @@ class JobServer:
             "n_iter_max": head.n_iter_max,
             "tol": head.tol,
             "num_threads": head.num_threads,
-            "backend": head.backend,
             "trace": False,
             "progress_every": self.config.progress_every,
             "timeout_remaining": None,

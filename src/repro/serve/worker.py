@@ -19,10 +19,9 @@ Robustness contract (the fault-injection suite pins this):
   caught in the worker, shipped back pickled, and fails only that job —
   the process survives and takes the next one.
 
-Workers are **not** daemonic: a job is allowed to use the process
-backend, and :class:`multiprocessing` forbids daemonic processes from
-having children.  The server guarantees teardown instead (shutdown
-protocol + terminate/kill escalation + atexit sweep).
+Workers are **not** daemonic: the server owns their teardown (shutdown
+protocol + terminate/kill escalation + atexit sweep), so interpreter exit
+never terminates a worker behind the server's back.
 """
 
 from __future__ import annotations
@@ -38,7 +37,12 @@ import numpy as np
 
 from repro.parallel.pool import WorkerError
 
-__all__ = ["WorkerHandle", "WorkerDied", "serve_worker_main"]
+__all__ = [
+    "WorkerHandle",
+    "WorkerDied",
+    "reset_worker_runtime_state",
+    "serve_worker_main",
+]
 
 _clock = time.monotonic
 
@@ -116,7 +120,6 @@ def _run_solo(payload: dict, token) -> dict:
         tol=payload["tol"],
         method=payload["method"],
         num_threads=payload["num_threads"],
-        backend=payload["backend"],
         rng=payload["seed"],
         cancel=token,
     )
@@ -145,7 +148,6 @@ def _run_group(payload: dict, token) -> list[dict]:
         n_iter_max=payload["n_iter_max"],
         tol=payload["tol"],
         num_threads=payload["num_threads"],
-        backend=payload["backend"],
         cancel=token,
     )
     results = []
@@ -163,18 +165,26 @@ def _run_group(payload: dict, token) -> list[dict]:
     return results
 
 
+def reset_worker_runtime_state() -> None:
+    """Give a (possibly forked) worker process a clean parallel/obs runtime.
+
+    Under ``fork`` the child inherits the parent's pool cache, whose
+    threads do not exist here, and its active tracer; both are reset.
+    Thread counts keep the inherited package defaults, so a job's result
+    matches a direct in-parent call bit-for-bit.
+    """
+    from repro.obs import tracer as tracer_mod
+    from repro.parallel import pool as pool_mod
+
+    pool_mod._pool_cache.clear()
+    tracer_mod.disable()
+
+
 def serve_worker_main(rank: int, conn) -> None:
     """Child-process entry: message loop around a one-job-at-a-time thread."""
-    from repro.parallel.backend import reset_worker_runtime_state
     from repro.util.cancel import CancelToken
 
-    # Service workers are intermediate processes: they run whole
-    # decompositions and may spawn their own executor teams, so the
-    # thread counts stay at the package defaults (a job's result must
-    # match a direct in-parent call bit-for-bit).
-    reset_worker_runtime_state(
-        num_threads=None, blas_threads=None, leaf_worker=False
-    )
+    reset_worker_runtime_state()
     send_lock = threading.Lock()
 
     def send(msg) -> None:
@@ -263,7 +273,7 @@ class WorkerHandle:
             target=serve_worker_main,
             args=(self.rank, child_conn),
             name=f"repro-serve-worker-{self.rank}",
-            daemon=False,  # jobs may spawn process-backend teams
+            daemon=False,  # the server owns teardown (module docstring)
         )
         proc.start()
         child_conn.close()
@@ -324,8 +334,8 @@ class WorkerHandle:
     def recv(self, timeout: float = 0.05):
         """One message, or ``None`` on timeout; :class:`WorkerDied` on death.
 
-        Mirrors :meth:`ProcessExecutor._recv`: after the process exits, a
-        final drain attempt still returns a reply that raced the death.
+        After the process exits, a final drain attempt still returns a
+        reply that raced the death.
         """
         conn, proc = self._conn, self._proc
         if conn is None or proc is None:

@@ -80,42 +80,10 @@ def ttv_chain(
     return result
 
 
-def _k_multi_ttv(
-    worker: int,
-    jstart: int,
-    jstop: int,
-    intermediate: DenseTensor,
-    factors: list[np.ndarray],
-    leading: bool,
-    out: np.ndarray,
-) -> None:
-    """Region kernel: columns ``[jstart, jstop)`` of the multi-TTV output.
-
-    Column ``j`` touches only subtensor ``j`` of the intermediate and
-    writes only ``out[:, j]``, so workers are conflict-free.  Module-level
-    (picklable) for the process backend; the matricization views rebuilt
-    here have the parent's exact strides, so per-column arithmetic — and
-    hence the result — is identical on every backend.
-    """
-    inner_shape = intermediate.shape[:-1]
-    flat = intermediate.unfold_front(intermediate.ndim - 2)
-    if leading:
-        out_dim, ncols = inner_shape[0], prod(inner_shape[1:])
-        for j in range(jstart, jstop):
-            sub = flat[:, j].reshape((out_dim, ncols), order="F")
-            out[:, j] = sub @ _krp_column(factors, j)
-    else:
-        out_dim, nrows = inner_shape[-1], prod(inner_shape[:-1])
-        for j in range(jstart, jstop):
-            sub = flat[:, j].reshape((nrows, out_dim), order="F")
-            out[:, j] = _krp_column(factors, j) @ sub
-
-
 def multi_ttv(
     intermediate: DenseTensor,
     factors: Sequence[np.ndarray],
     leading: bool,
-    executor=None,
 ) -> np.ndarray:
     """The 2nd step of 2-step MTTKRP: C independent TTV chains as GEMVs.
 
@@ -135,12 +103,6 @@ def multi_ttv(
         ``intermediate`` (left-first ordering, Figure 3d: contract trailing
         modes); ``False`` when it is the last tensor mode before the rank
         mode (right-first ordering, Figure 3b: contract leading modes).
-    executor:
-        Optional :class:`~repro.parallel.backend.Executor`.  On a process
-        executor with more than one worker the column loop — a Python-level
-        loop of small GEMVs that the GIL serializes under threads — is
-        distributed over the worker team (disjoint output columns, no
-        reduction).  Otherwise the loop runs inline as before.
 
     Returns
     -------
@@ -175,22 +137,18 @@ def multi_ttv(
             f"do not match contracted dims {tuple(contract_dims)}"
         )
 
-    if (
-        executor is not None
-        and executor.backend == "process"
-        and executor.num_workers > 1
-    ):
-        out = executor.allocate_shared((out_dim, C), dtype=intermediate.dtype)
-        executor.parallel_for(
-            _k_multi_ttv,
-            C,
-            args=(intermediate, facs, leading, out),
-            label="multi_ttv.columns",
-        )
-        return out
-
-    out = np.empty((out_dim, C), dtype=intermediate.dtype)
-    _k_multi_ttv(0, 0, C, intermediate, facs, leading, out)
+    flat = intermediate.unfold_front(intermediate.ndim - 2)
+    out = np.empty((out_dim, C), dtype=intermediate.dtype, order="C")
+    if leading:
+        ncols = prod(contract_dims)
+        for j in range(C):
+            sub = flat[:, j].reshape((out_dim, ncols), order="F")
+            out[:, j] = sub @ _krp_column(facs, j)
+    else:
+        nrows = prod(contract_dims)
+        for j in range(C):
+            sub = flat[:, j].reshape((nrows, out_dim), order="F")
+            out[:, j] = _krp_column(facs, j) @ sub
     return out
 
 

@@ -1,7 +1,7 @@
 """Empirical MTTKRP autotuning with a persisted decision cache.
 
 ``repro.tune`` replaces the paper's static Section 5.3.3 kernel policy
-with measurement: for a ``(shape, rank, mode, threads, backend, dtype)``
+with measurement: for a ``(shape, rank, mode, threads, dtype)``
 configuration it microbenchmarks the real kernel candidates (1-step,
 2-step in both orderings, the dimension-tree node path, the baseline),
 persists the winner in a JSON cache (``REPRO_TUNE_CACHE``), and serves

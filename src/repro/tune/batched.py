@@ -20,12 +20,11 @@ the order-2 short-circuit of :func:`repro.tune.tuner.autotune`).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 
 import numpy as np
 
 from repro.obs import get_tracer
-from repro.parallel.config import resolve_backend, resolve_threads, use_backend
+from repro.parallel.config import resolve_threads
 from repro.tune.cache import TuneKey, TuneRecord, TuningCache, get_cache
 from repro.tune.tuner import Candidate
 from repro.util.timing import wall_time
@@ -107,7 +106,6 @@ def autotune_batched(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    backend: str | None = None,
     cache: TuningCache | None = None,
     repeats: int = 2,
     workspace=None,
@@ -115,8 +113,8 @@ def autotune_batched(
 ) -> TuneRecord:
     """Pick the fastest batched lane for this configuration, cached.
 
-    The cache key is ``(shape, rank, mode, threads, backend, dtype,
-    batch)`` — one decision per fleet size, reused by every later
+    The cache key is ``(shape, rank, mode, threads, dtype, batch)`` — one
+    decision per fleet size, reused by every later
     :func:`~repro.batch.mttkrp.mttkrp_batched` ``method="autotune"``
     call and by ``cp_als_batched(tune=True)``.
 
@@ -127,13 +125,11 @@ def autotune_batched(
 
     n, rank = _validate(batch, factors, n)
     threads = resolve_threads(num_threads)
-    backend_name = resolve_backend(backend)
     dtype = np.result_type(
         batch.dtype, *[np.asarray(f).dtype for f in factors]
     )
     key = TuneKey.make(
-        batch.shape, rank, n, threads, backend_name, dtype,
-        batch=batch.batch,
+        batch.shape, rank, n, threads, dtype, batch=batch.batch,
     )
     store = cache if cache is not None else get_cache()
     tracer = get_tracer()
@@ -157,10 +153,9 @@ def autotune_batched(
     candidates = candidate_set(batch.shape, n, batch.batch)
     bench_batch, bench_factors = _proxy_batch(batch, factors)
     times: dict[str, float] = {}
-    scope = use_backend(backend) if backend is not None else nullcontext()
-    with scope, tracer.span(
+    with tracer.span(
         "tune", mode=n, shape=list(batch.shape), rank=rank,
-        threads=threads, backend=backend_name, batch=batch.batch,
+        threads=threads, batch=batch.batch,
     ):
         for candidate in candidates:
             times[candidate.label] = _measure_batched(

@@ -3,7 +3,7 @@
 The autotuner's measurements are only worth their cost if they are paid
 once.  :class:`TuningCache` maps a :class:`TuneKey` — the full set of
 inputs that can change which MTTKRP kernel wins: tensor shape, rank,
-output mode, worker count, execution backend and dtype — to a
+output mode, worker count, dtype and batch size — to a
 :class:`TuneRecord` holding the winning method, its keyword arguments and
 the measured candidate times, and persists the mapping as one JSON file.
 
@@ -25,9 +25,10 @@ File handling rules (all covered by ``tests/test_tune_cache.py``):
   concurrent writers of *different* keys do not clobber each other;
   writers within one process additionally serialize on a lock.
 
-Schema (version ``1``)::
+Schema (version ``2``; version ``1`` keys also named an execution
+backend, so a version-1 file loads as an empty cache)::
 
-    {"version": 1,
+    {"version": 2,
      "entries": {"<key-string>": {"method": "twostep",
                                   "kwargs": {"side": "left"},
                                   "times": {"onestep": 1.2e-4, ...},
@@ -58,7 +59,7 @@ __all__ = [
     "reset_cache",
 ]
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 
 class TuneCacheWarning(UserWarning):
@@ -68,10 +69,6 @@ class TuneCacheWarning(UserWarning):
 @dataclass(frozen=True)
 class TuneKey:
     """Everything that can change which kernel is fastest.
-
-    ``backend`` is part of the key because the two backends have different
-    region-launch and marshalling costs: a decision measured under the
-    process backend must not be served to a thread-backend caller.
 
     ``batch`` is the number of stacked same-shape tensors the decision
     was measured for (:mod:`repro.tune.batched`); single-tensor kernels
@@ -83,7 +80,6 @@ class TuneKey:
     rank: int
     mode: int
     num_threads: int
-    backend: str
     dtype: str
     batch: int = 1
 
@@ -94,7 +90,6 @@ class TuneKey:
         rank: int,
         mode: int,
         num_threads: int,
-        backend: str,
         dtype,
         batch: int = 1,
     ) -> "TuneKey":
@@ -103,7 +98,6 @@ class TuneKey:
             rank=int(rank),
             mode=int(mode),
             num_threads=int(num_threads),
-            backend=str(backend),
             dtype=np.dtype(dtype).name,
             batch=int(batch),
         )
@@ -113,7 +107,7 @@ class TuneKey:
         dims = "x".join(str(s) for s in self.shape)
         return (
             f"shape={dims};rank={self.rank};mode={self.mode};"
-            f"threads={self.num_threads};backend={self.backend};"
+            f"threads={self.num_threads};"
             f"dtype={self.dtype};batch={self.batch}"
         )
 

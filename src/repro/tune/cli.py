@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=None, help="worker count"
     )
     parser.add_argument(
-        "--backend", choices=("thread", "process"), default=None,
-        help="execution backend (default: package setting)",
-    )
-    parser.add_argument(
         "--dtype", choices=("float32", "float64"), default="float64"
     )
     parser.add_argument(
@@ -139,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in modes:
         record = autotune(
             tensor, factors, n,
-            num_threads=args.threads, backend=args.backend,
+            num_threads=args.threads,
             cache=cache, repeats=args.repeats, force=args.force,
         )
         times = ", ".join(

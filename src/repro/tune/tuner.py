@@ -5,7 +5,7 @@ internal modes") is a static heuristic derived from one machine.  The
 tunable rows of the kernel table (:data:`repro.core.dispatch.KERNELS`) —
 1-step, 2-step (two orderings), the dimension-tree node path and the
 baseline — have crossover points that move with shape, rank, thread
-count, backend and dtype.  :func:`autotune` settles the
+count and dtype.  :func:`autotune` settles the
 question the honest way: run each plausible candidate on the real
 operands (or a shape-faithful proxy when the tensor is large), take the
 best of a few repeats, and record the winner in the persisted
@@ -41,7 +41,6 @@ from __future__ import annotations
 import threading
 import warnings
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ from repro.core.dispatch import KERNELS
 from repro.machine.model import MachineModel, host_model_default
 from repro.machine.predict import predict_algorithm_time
 from repro.obs import get_tracer
-from repro.parallel.config import resolve_backend, resolve_threads, use_backend
+from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tune.cache import (
     TuneCacheWarning,
@@ -271,7 +270,6 @@ def autotune(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    backend: str | None = None,
     cache: TuningCache | None = None,
     repeats: int = 2,
     model: MachineModel | None = None,
@@ -292,9 +290,9 @@ def autotune(
     ----------
     tensor, factors, n:
         The MTTKRP operands the decision is for.
-    num_threads, backend:
-        Execution configuration; both are part of the cache key.
-        Defaults resolve against the package-wide settings.
+    num_threads:
+        Worker count; part of the cache key.  Defaults to the
+        package-wide setting.
     cache:
         Explicit :class:`~repro.tune.cache.TuningCache`; defaults to the
         shared cache for ``REPRO_TUNE_CACHE``.
@@ -319,9 +317,8 @@ def autotune(
     n = check_mode(n, tensor.ndim)
     rank = check_factor_matrices(list(factors), tensor.shape)
     threads = resolve_threads(num_threads)
-    backend_name = resolve_backend(backend)
     dtype = np.result_type(tensor.dtype, *[np.asarray(f).dtype for f in factors])
-    key = TuneKey.make(tensor.shape, rank, n, threads, backend_name, dtype)
+    key = TuneKey.make(tensor.shape, rank, n, threads, dtype)
     store = cache if cache is not None else get_cache()
     tracer = get_tracer()
 
@@ -367,10 +364,9 @@ def autotune(
     )
     bench_tensor, bench_factors = proxy_operands(tensor, factors)
     times: dict[str, float] = {}
-    scope = use_backend(backend) if backend is not None else nullcontext()
-    with scope, tracer.span(
+    with tracer.span(
         "tune", mode=n, shape=list(tensor.shape), rank=rank,
-        threads=threads, backend=backend_name,
+        threads=threads,
     ):
         for candidate in candidates:
             times[candidate.label] = _measure(

@@ -32,7 +32,7 @@ def unrelated_prefix(ws):
 
 
 def inside_with_scope(fill):
-    with Workspace(backend="thread") as ws:
+    with Workspace() as ws:
         scratch = ws.private("partials", 4, (8,), "float64")
         fill(scratch)
         total = scratch.sum()

@@ -17,7 +17,7 @@ def use_after_close(ws):
 
 
 def use_after_with_scope(fill):
-    with Workspace(backend="thread") as ws:
+    with Workspace() as ws:
         scratch = ws.private("partials", 4, (8,), "float64")
         fill(scratch)
     return scratch.mean()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import numpy as np
 import pytest
 
@@ -53,15 +56,29 @@ def _single_thread_default():
         yield
 
 
-def pytest_collection_modifyitems(config, items):
-    """Keep ``bench``-marked wall-clock tests out of the default run.
+_SHUFFLE_ENV = "REPRO_TEST_SHUFFLE"
 
-    They assert on timings of a shared host, so they run only when the
-    marker expression names them explicitly (e.g. ``-m bench``).
+
+def pytest_report_header(config):
+    seed = os.environ.get(_SHUFFLE_ENV)
+    if seed:
+        return f"test order shuffled with {_SHUFFLE_ENV}={seed}"
+    return None
+
+
+def pytest_collection_modifyitems(config, items):
+    """Keep ``bench``-marked wall-clock tests out of the default run, and
+    shuffle the order when ``REPRO_TEST_SHUFFLE=<integer seed>`` is set.
+
+    Bench tests assert on timings of a shared host, so they run only when
+    the marker expression names them explicitly (e.g. ``-m bench``).  The
+    shuffle is seeded, so a failing order replays with the same seed.
     """
-    if "bench" in config.option.markexpr:
-        return
-    bench = [item for item in items if item.get_closest_marker("bench")]
-    if bench:
-        config.hook.pytest_deselected(items=bench)
-        items[:] = [item for item in items if item not in bench]
+    if "bench" not in config.option.markexpr:
+        bench = [item for item in items if item.get_closest_marker("bench")]
+        if bench:
+            config.hook.pytest_deselected(items=bench)
+            items[:] = [item for item in items if item not in bench]
+    seed = os.environ.get(_SHUFFLE_ENV)
+    if seed:
+        random.Random(int(seed)).shuffle(items)

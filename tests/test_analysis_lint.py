@@ -1,4 +1,4 @@
-"""Per-rule fixture tests for the parallel-hazard lint (RA001–RA006).
+"""Per-rule fixture tests for the parallel-hazard lint (RA001–RA004, RA006–RA008).
 
 Each rule id has one minimal positive and one negative fixture under
 ``tests/analysis_fixtures/``; the positive must produce at least one
@@ -82,7 +82,6 @@ class TestArenaReusePattern:
         sev = {r.id: r.severity for r in ALL_RULES}
         assert sev["RA001"] == "error"
         assert sev["RA002"] == "error"
-        assert sev["RA005"] == "error"
         assert sev["RA006"] == "error"
         assert sev["RA003"] == "warning"
         assert sev["RA004"] == "warning"
@@ -164,8 +163,8 @@ class TestReports:
             get_rules(["RA999"])
 
     def test_get_rules_subset(self):
-        rules = get_rules(["RA003", "RA005"])
-        assert [r.id for r in rules] == ["RA003", "RA005"]
+        rules = get_rules(["RA003", "RA006"])
+        assert [r.id for r in rules] == ["RA003", "RA006"]
 
 
 class TestCli:

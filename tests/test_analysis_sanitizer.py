@@ -17,13 +17,11 @@ from repro.parallel.pool import ThreadPool
 from repro.parallel.sanitizer import (
     NULL_SANITIZER,
     RaceError,
-    SanitizerError,
     WriteLogArray,
     get_sanitizer,
     is_sanitizing,
     sanitize,
 )
-from repro.parallel.shm import ShmArena, ShmHandle, attach
 from repro.tensor.dense import DenseTensor
 
 
@@ -167,34 +165,6 @@ class TestRealKernelsClean:
         with sanitize(), num_threads(2):
             result = cp_als(tensor, 2, n_iter_max=3, tol=0.0, rng=0)
         assert np.isfinite(result.final_fit)
-
-
-class TestShmContracts:
-    def test_stale_handle_bounds_check(self):
-        arena = ShmArena()
-        try:
-            view, handle = arena.allocate((4,), dtype=np.float64)
-            # A handle describing more bytes than the segment holds.
-            stale = ShmHandle(handle.name, (1024, 1024), handle.dtype,
-                              writable=True)
-            with pytest.raises(SanitizerError, match="stale or corrupted"):
-                arena.view(stale)
-            cache = {}
-            with pytest.raises(SanitizerError, match="stale or corrupted"):
-                attach(stale, cache)
-            for seg, _ in cache.values():
-                seg.close()
-        finally:
-            arena.close()
-
-    def test_foreign_handle_lifetime_check(self):
-        arena = ShmArena()
-        try:
-            foreign = ShmHandle("not_a_segment_of_this_arena", (2,), "<f8")
-            with pytest.raises(SanitizerError, match="lifetime"):
-                arena.view(foreign)
-        finally:
-            arena.close()
 
 
 class TestUfuncAtWrites:

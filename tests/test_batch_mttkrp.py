@@ -14,7 +14,6 @@ from repro.batch import (
     mttkrp_batched_stacked,
 )
 from repro.core.dispatch import mttkrp
-from repro.parallel.backend import get_executor
 from repro.parallel.workspace import Workspace
 from repro.util import prod
 
@@ -53,17 +52,14 @@ def test_stacked_and_loop_lanes_bitwise_identical(dtype):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_bitwise_invariant_to_workers_and_backend(backend):
+def test_bitwise_invariant_to_workers():
     """Workers own disjoint batch blocks: any split is bit-identical."""
     rng = np.random.default_rng(12)
     bt, factors = _operands(rng, 9, (4, 3, 2), C=3)
     for n in range(3):
         ref = mttkrp_batched(bt, factors, n, num_threads=1)
         for T in (2, 4):
-            out = mttkrp_batched(
-                bt, factors, n, num_threads=T, backend=backend
-            )
+            out = mttkrp_batched(bt, factors, n, num_threads=T)
             np.testing.assert_array_equal(out, ref)
 
 
@@ -99,8 +95,7 @@ def test_workspace_zero_steady_state_allocations():
 def test_workspace_zero_steady_state_allocations_parallel():
     rng = np.random.default_rng(15)
     bt, factors = _operands(rng, 8, (4, 3, 2), C=3)
-    ex = get_executor(2)
-    with Workspace(ex) as ws:
+    with Workspace() as ws:
         for n in range(3):
             mttkrp_batched(
                 bt, factors, n, method="batched", num_threads=2, workspace=ws

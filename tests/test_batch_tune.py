@@ -38,8 +38,8 @@ def test_candidate_set_is_the_two_lanes():
 
 
 def test_tune_key_carries_batch_dimension():
-    base = TuneKey.make((4, 3), 2, 0, 1, "thread", np.float64)
-    fleet = TuneKey.make((4, 3), 2, 0, 1, "thread", np.float64, batch=17)
+    base = TuneKey.make((4, 3), 2, 0, 1, np.float64)
+    fleet = TuneKey.make((4, 3), 2, 0, 1, np.float64, batch=17)
     assert base.batch == 1
     assert fleet.batch == 17
     assert base.to_str() != fleet.to_str()
@@ -80,11 +80,10 @@ def test_stale_foreign_entry_is_remeasured():
     rng = np.random.default_rng(43)
     bt, factors = _operands(rng, 4)
     cache = TuningCache(None)
-    from repro.parallel.config import resolve_backend, resolve_threads
+    from repro.parallel.config import resolve_threads
 
     key = TuneKey.make(
-        bt.shape, 2, 0, resolve_threads(None), resolve_backend(None),
-        np.float64, batch=4,
+        bt.shape, 2, 0, resolve_threads(None), np.float64, batch=4
     )
     cache.put(key, TuneRecord(method="onestep", source="measured"))
     record = autotune_batched(bt, factors, 0, cache=cache, repeats=1)

@@ -223,8 +223,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestMigration:
-    # results/{backend,dimtree,tune}.bench.json were converted once from
-    # the legacy layouts; trend must keep loading them as comparable
+    # results/{dimtree,tune}.bench.json were converted once from the
+    # legacy layouts; trend must keep loading them as comparable
     # baselines, with their provenance intact.
     def _history(self):
         return load_history(os.path.join(REPO_ROOT, "results"))
@@ -239,8 +239,6 @@ class TestMigration:
         assert ("autotune", "policy/auto", "x86_64-1cpu") in baselines
         assert ("dimtree", "cpals-3D/per-mode/T1", "x86_64-1cpu") in baselines
         assert ("dimtree", "node/batched", "x86_64-1cpu") in baselines
-        assert ("pool-overhead", "backend-krp/thread/T2",
-                "x86_64-1cpu") in baselines
 
     def test_migrated_context_keeps_provenance(self):
         history = self._history()
@@ -251,4 +249,4 @@ class TestMigration:
     def test_committed_results_dir_is_migrated(self):
         # the repo's own results/ must already hold the normalized files
         names = {r["benchmark"] for r in self._history()}
-        assert {"pool-overhead", "dimtree", "autotune"} <= names
+        assert {"dimtree", "autotune"} <= names

@@ -11,7 +11,7 @@ from repro.core.dimtree import (
     split_point,
 )
 from repro.cpd.cp_als import cp_als
-from repro.parallel.backend import get_executor
+from repro.parallel.pool import get_pool
 from repro.parallel.workspace import Workspace
 from repro.tensor.generate import random_factors, random_tensor
 from repro.util.timing import PhaseTimer
@@ -20,11 +20,11 @@ from tests.conftest import mttkrp_oracle
 SHAPES = [(4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 3, 2), (7, 3)]
 
 
-class SpyExecutor:
-    """Pass-through executor that records every parallel region's label.
+class SpyPool:
+    """Pass-through pool that records every parallel region's label.
 
     Regression guard for the bug where the dimtree first level computed
-    its KRP with the *serial* ``khatri_rao`` — engagement of the executor
+    its KRP with the *serial* ``khatri_rao`` — engagement of the pool
     is asserted on the recorded labels, not inferred from timings.
     """
 
@@ -110,11 +110,11 @@ class TestPartials:
     def test_krp_runs_on_the_executor(self):
         # Regression: the first level used to call the serial khatri_rao.
         X, U = _case((4, 5, 6))
-        spy = SpyExecutor(get_executor(2))
-        left_partial(X, U, 2, num_threads=2, executor=spy)
+        spy = SpyPool(get_pool(2))
+        left_partial(X, U, 2, num_threads=2, pool=spy)
         assert "krp.rows" in spy.labels
         spy.labels.clear()
-        right_partial(X, U, 2, num_threads=2, executor=spy)
+        right_partial(X, U, 2, num_threads=2, pool=spy)
         assert "krp.rows" in spy.labels
 
     def test_parallel_krp_matches_serial_bitwise(self):
@@ -133,7 +133,9 @@ class TestPartials:
         a = left_partial(X, U, 2, workspace=ws).data
         allocs = ws.stats.allocations
         b = left_partial(X, U, 2, workspace=ws).data
-        assert b is a  # same backing buffer
+        # Same backing buffer (the node's .data is a fresh view of it
+        # when the sanitizer instruments workspace buffers).
+        assert b.__array_interface__["data"] == a.__array_interface__["data"]
         assert ws.stats.allocations == allocs
         assert ws.stats.reuses > 0
 
@@ -218,19 +220,11 @@ class TestBatchedVsColumnwise:
             b = node_mttkrp(node, facs, keep, num_threads=threads)
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
-    def test_thread_process_bit_identical_at_fixed_threads(self):
-        ex_t = get_executor(2, backend="thread")
-        ex_p = get_executor(2, backend="process")
-        for node, facs, keep in _all_nodes((3, 4, 5), rank=4):
-            a = node_mttkrp(node, facs, keep, num_threads=2, executor=ex_t)
-            b = node_mttkrp(node, facs, keep, num_threads=2, executor=ex_p)
-            assert np.array_equal(np.asarray(a), np.asarray(b)), keep
-
     def test_node_executor_engaged(self):
         X, U = _case((4, 5, 6))
         TL = left_partial(X, U, 2)
-        spy = SpyExecutor(get_executor(2))
-        node_mttkrp(TL, U[:2], keep=0, num_threads=2, executor=spy)
+        spy = SpyPool(get_pool(2))
+        node_mttkrp(TL, U[:2], keep=0, num_threads=2, pool=spy)
         assert "dimtree.node" in spy.labels
 
     def test_workspace_zero_allocations_after_warmup(self):
@@ -293,23 +287,6 @@ class TestCpAlsDimtree:
             num_threads=2,
         )
         np.testing.assert_allclose(a.fits, b.fits, atol=1e-9)
-
-    def test_backends_bit_identical(self):
-        """Whole dimtree runs agree bitwise across thread/process at a
-        fixed thread count (same partitions, strides, reduce pairing)."""
-        X = random_tensor((5, 6, 7), rng=11)
-        init = random_factors(X.shape, 3, rng=12)
-        a = cp_als(
-            X, 3, n_iter_max=4, tol=0.0, init=init,
-            mode_strategy="dimtree", num_threads=2, backend="thread",
-        )
-        b = cp_als(
-            X, 3, n_iter_max=4, tol=0.0, init=init,
-            mode_strategy="dimtree", num_threads=2, backend="process",
-        )
-        assert a.fits == b.fits
-        for fa, fb in zip(a.model.factors, b.model.factors):
-            assert np.array_equal(fa, fb)
 
     def test_zero_allocations_after_warmup(self):
         """After the first iteration warms the arena, later iterations

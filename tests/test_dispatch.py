@@ -71,16 +71,6 @@ class TestDispatch:
             warnings.simplefilter("error")
             mttkrp(X, U, 0, method="twostep")
 
-    def test_backend_argument_accepted(self):
-        X, U = _case()
-        np.testing.assert_allclose(
-            mttkrp(X, U, 1, backend="thread"),
-            mttkrp_oracle(X, U, 1),
-            atol=1e-10,
-        )
-        with pytest.raises(ValueError, match="backend"):
-            mttkrp(X, U, 1, backend="fpga")
-
     def test_unknown_method(self):
         X, U = _case()
         with pytest.raises(ValueError, match="unknown method"):

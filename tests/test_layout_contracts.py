@@ -80,10 +80,8 @@ class TestAssertNativeLayout:
                 assert_native_layout(hazard, "test.ctx")
 
     def test_twostep_suppressed_sites_hold_under_sanitizer(self, problem):
-        # The two RA004 suppressions claim buf.reshape(...) is native
-        # contiguous; the backing runtime assertion must hold on a real
-        # internal-mode run with the process-backend buffer path off
-        # (thread backend exercises the same code shape).
+        # Every internal-mode 2-step run must stay finite and
+        # layout-clean under the sanitizer.
         X, U = problem
         with sanitize():
             for n in range(1, len(SHAPE) - 1):

@@ -154,7 +154,7 @@ def test_dimtree_partials_carry_gemm_counters(traced_dimtree_run):
         if s.name in ("partial[left]", "partial[right]")
     ]
     assert len(partials) == 2 * ITERS
-    # Each half is one big GEMM plus a parallel KRP on the executor.
+    # Each half is one big GEMM plus a parallel KRP on the pool.
     gemm_spans = [s for s in tracer.spans() if s.name == "gemm"]
     dimtree_gemms = [
         s for s in gemm_spans if "partial[" in s.path
@@ -197,7 +197,7 @@ def test_dimtree_node_spans_and_imbalance(traced_dimtree_run):
         assert "/mode[" in s.path
         assert s.counters.get("flops", 0) > 0
         assert s.counters.get("gemm_calls", 0) >= 1
-    # The executor-parallel node contraction records region imbalance.
+    # The pool-parallel node contraction records region imbalance.
     regions = [
         s for s in tracer.spans()
         if s.name == "dimtree.node" and "imbalance" in s.counters

@@ -2,7 +2,7 @@
 
 Mirrors ``tests/test_oracle_differential.py`` for the fleet engine:
 seeded random configurations across orders 2-5, float32/float64, fleet
-sizes ``B in {1, 3, 17}``, thread and process backends.  For every
+sizes ``B in {1, 3, 17}``, 1-4 workers.  For every
 configuration and mode it asserts
 
 * every entry of :data:`repro.batch.mttkrp.BATCHED_MTTKRP_METHODS`
@@ -34,7 +34,6 @@ MASTER_SEED = 20180224  # PPoPP'18
 N_CONFIGS = int(os.environ.get("REPRO_ORACLE_BATCH_N", "48"))
 
 _BATCH_SIZES = (1, 3, 17)
-_PROCESS_EVERY = 12
 
 
 @pytest.fixture(autouse=True)
@@ -56,13 +55,12 @@ class BatchOracleConfig:
     batch: int
     dtype: str
     num_threads: int
-    backend: str
 
     def __str__(self) -> str:
         return (
             f"#{self.index}: shape={self.shape} rank={self.rank} "
             f"B={self.batch} dtype={self.dtype} "
-            f"threads={self.num_threads} backend={self.backend}"
+            f"threads={self.num_threads}"
         )
 
 
@@ -73,14 +71,8 @@ def draw_config(index: int) -> BatchOracleConfig:
     rank = int(rng.integers(1, 7))
     batch = int(rng.choice(_BATCH_SIZES))
     dtype = str(rng.choice(["float32", "float64"]))
-    if index % _PROCESS_EVERY == _PROCESS_EVERY - 1:
-        # Pin the worker count so every process config shares one cached
-        # executor team.
-        return BatchOracleConfig(index, shape, rank, batch, dtype, 2, "process")
     num_threads = int(rng.integers(1, 5))
-    return BatchOracleConfig(
-        index, shape, rank, batch, dtype, num_threads, "thread"
-    )
+    return BatchOracleConfig(index, shape, rank, batch, dtype, num_threads)
 
 
 def build_operands(cfg: BatchOracleConfig):
@@ -111,18 +103,17 @@ def repro_snippet(cfg: BatchOracleConfig, method: str, mode: int) -> str:
         "from repro.batch import mttkrp_batched\n"
         f"cfg = BatchOracleConfig(index={cfg.index}, shape={cfg.shape}, "
         f"rank={cfg.rank}, batch={cfg.batch}, dtype={cfg.dtype!r}, "
-        f"num_threads={cfg.num_threads}, backend={cfg.backend!r})\n"
+        f"num_threads={cfg.num_threads})\n"
         "bt, U = build_operands(cfg)\n"
         f"ref = mttkrp_batched(bt, U, {mode}, method='batched-loop')\n"
         f"out = mttkrp_batched(bt, U, {mode}, method={method!r}, "
-        f"num_threads={cfg.num_threads}, backend={cfg.backend!r})\n"
+        f"num_threads={cfg.num_threads})\n"
         "print(np.abs(out - ref).max())\n"
     )
 
 
 def check_config(cfg: BatchOracleConfig) -> None:
     bt, U = build_operands(cfg)
-    backend = cfg.backend if cfg.backend != "thread" else None
     for n in range(bt.ndim):
         # The stacked reference: the per-item loop lane at T=1.
         ref = mttkrp_batched(bt, U, n, method="batched-loop", num_threads=1)
@@ -131,7 +122,6 @@ def check_config(cfg: BatchOracleConfig) -> None:
                 bt, U, n,
                 method=method,
                 num_threads=cfg.num_threads,
-                backend=backend,
             )
             assert out.shape == ref.shape and out.dtype == ref.dtype, (
                 f"{cfg} method={method!r} mode={n}: shape/dtype mismatch "
@@ -179,7 +169,6 @@ def test_draws_cover_the_advertised_space():
     assert {len(c.shape) for c in configs} == {2, 3, 4, 5}
     assert {c.batch for c in configs} == set(_BATCH_SIZES)
     assert {c.dtype for c in configs} == {"float32", "float64"}
-    assert {c.backend for c in configs} == {"thread", "process"}
     assert {c.num_threads for c in configs} >= {1, 2}
     assert any(1 in c.shape for c in configs)
 

@@ -2,9 +2,9 @@
 
 Draws ``REPRO_ORACLE_N`` (default 200) random configurations — order 2-5,
 ragged dimensions including 1-sized modes, ranks 1-8, float32/float64,
-C/F-contiguous and strided operands, 1-4 workers, thread and process
-backends — and asserts that **every** public ``MTTKRP_METHODS`` entry
-(including the autotuner's pick, which is one of them) matches
+C/F-contiguous and strided operands, 1-4 workers — and asserts that
+**every** public ``MTTKRP_METHODS`` entry (including the autotuner's
+pick, which is one of them) matches
 ``mttkrp_baseline`` to a dtype-appropriate tolerance.
 
 Each configuration is derived from ``(MASTER_SEED, index)`` alone, so a
@@ -31,10 +31,6 @@ pytestmark = pytest.mark.tune
 MASTER_SEED = 20180224  # PPoPP'18
 N_CONFIGS = int(os.environ.get("REPRO_ORACLE_N", "200"))
 
-# Process-backend regions cost ~0.1 ms each; a deterministic subset keeps
-# the backend covered without dominating the tier-1 budget.
-_PROCESS_EVERY = 16
-
 
 @pytest.fixture(autouse=True)
 def _isolated_tune_cache(tmp_path, monkeypatch):
@@ -55,13 +51,12 @@ class OracleConfig:
     dtype: str
     layout: str  # "C" | "F" | "strided"
     num_threads: int
-    backend: str
 
     def __str__(self) -> str:
         return (
             f"#{self.index}: shape={self.shape} rank={self.rank} "
             f"dtype={self.dtype} layout={self.layout} "
-            f"threads={self.num_threads} backend={self.backend}"
+            f"threads={self.num_threads}"
         )
 
 
@@ -72,12 +67,8 @@ def draw_config(index: int) -> OracleConfig:
     rank = int(rng.integers(1, 9))
     dtype = str(rng.choice(["float32", "float64"]))
     layout = str(rng.choice(["C", "F", "strided"]))
-    if index % _PROCESS_EVERY == _PROCESS_EVERY - 1:
-        # Pin the worker count so every process config shares one cached
-        # executor team (spawning a team per config would swamp the run).
-        return OracleConfig(index, shape, rank, dtype, layout, 2, "process")
     num_threads = int(rng.integers(1, 5))
-    return OracleConfig(index, shape, rank, dtype, layout, num_threads, "thread")
+    return OracleConfig(index, shape, rank, dtype, layout, num_threads)
 
 
 def build_operands(cfg: OracleConfig) -> tuple[DenseTensor, list[np.ndarray]]:
@@ -125,18 +116,17 @@ def repro_snippet(cfg: OracleConfig, method: str, mode: int) -> str:
         "from repro.core.mttkrp_baseline import mttkrp_baseline\n"
         f"cfg = OracleConfig(index={cfg.index}, shape={cfg.shape}, "
         f"rank={cfg.rank}, dtype={cfg.dtype!r}, layout={cfg.layout!r}, "
-        f"num_threads={cfg.num_threads}, backend={cfg.backend!r})\n"
+        f"num_threads={cfg.num_threads})\n"
         "X, U = build_operands(cfg)\n"
         f"ref = mttkrp_baseline(X, U, {mode}, num_threads={cfg.num_threads})\n"
         f"out = mttkrp(X, U, {mode}, method={method!r}, "
-        f"num_threads={cfg.num_threads}, backend={cfg.backend!r})\n"
+        f"num_threads={cfg.num_threads})\n"
         "print(np.abs(out - ref).max())\n"
     )
 
 
 def check_config(cfg: OracleConfig) -> None:
     X, U = build_operands(cfg)
-    backend = cfg.backend if cfg.backend != "thread" else None
     for n in range(X.ndim):
         ref = mttkrp_baseline(X, U, n, num_threads=cfg.num_threads)
         tol = tolerance(cfg, ref, n)
@@ -145,7 +135,6 @@ def check_config(cfg: OracleConfig) -> None:
                 X, U, n,
                 method=method,
                 num_threads=cfg.num_threads,
-                backend=backend,
             )
             assert out.shape == ref.shape and out.dtype == ref.dtype, (
                 f"{cfg} method={method!r} mode={n}: shape/dtype mismatch "
@@ -178,7 +167,6 @@ def test_draws_cover_the_advertised_space():
     assert any(1 in c.shape for c in configs)
     assert {c.dtype for c in configs} == {"float32", "float64"}
     assert {c.layout for c in configs} == {"C", "F", "strided"}
-    assert {c.backend for c in configs} == {"thread", "process"}
     assert {c.num_threads for c in configs} >= {1, 2}
     assert {c.rank for c in configs} >= {1, 8}
     assert N_CONFIGS >= 200 or "REPRO_ORACLE_N" in os.environ

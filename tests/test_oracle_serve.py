@@ -6,7 +6,7 @@ isolation.  Two equalities are pinned, both **bitwise**:
 
 * a job served **solo** equals a direct
   :func:`repro.cpd.cp_als.cp_als` call with the same tensor, seed and
-  options — across the thread and process backends;
+  options;
 * a **coalesced** group equals a direct
   :func:`repro.batch.fleet.cp_als_fleet` call over the same ordered
   member list with the same seeds.
@@ -68,8 +68,7 @@ def assert_model_bits(result, model, label: str) -> None:
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_solo_bit_identical_to_direct_cp_als(backend):
+def test_solo_bit_identical_to_direct_cp_als():
     configs = []
     for index in range(4):
         rng = np.random.default_rng([MASTER_SEED, 50, index])
@@ -82,7 +81,7 @@ def test_solo_bit_identical_to_direct_cp_als(backend):
             (
                 server.submit(JobSpec(
                     rank=rank, tensor=draw_tensor(index, shape), seed=index,
-                    n_iter_max=4, backend=backend, num_threads=2,
+                    n_iter_max=4, num_threads=2,
                 )),
                 index, shape, rank,
             )
@@ -93,12 +92,11 @@ def test_solo_bit_identical_to_direct_cp_als(backend):
             assert result.group_size == 1 and not result.batched
             direct = cp_als(
                 draw_tensor(index, shape), rank, n_iter_max=4,
-                backend=backend, num_threads=2, rng=index,
+                num_threads=2, rng=index,
             )
             assert_model_bits(
                 result, direct.model,
-                f"solo index={index} shape={shape} rank={rank} "
-                f"backend={backend}",
+                f"solo index={index} shape={shape} rank={rank}",
             )
             assert result.fit == direct.final_fit
             assert result.iterations == direct.iterations
@@ -138,8 +136,7 @@ def test_solo_rerun_is_deterministic():
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_coalesced_bit_identical_to_direct_fleet(backend):
+def test_coalesced_bit_identical_to_direct_fleet():
     B = 5
     tensors = [draw_tensor(100 + b) for b in range(B)]
     seeds = [200 + b for b in range(B)]
@@ -148,7 +145,7 @@ def test_coalesced_bit_identical_to_direct_fleet(backend):
         handles = [
             server.submit(JobSpec(
                 rank=2, tensor=tensors[b], seed=seeds[b], n_iter_max=4,
-                backend=backend, num_threads=2,
+                num_threads=2,
             ))
             for b in range(B)
         ]
@@ -158,12 +155,11 @@ def test_coalesced_bit_identical_to_direct_fleet(backend):
     assert log == [("group",) + tuple(h.job_id for h in handles)]
     assert all(r.batched and r.group_size == B for r in results)
     direct = cp_als_fleet(
-        tensors, 2, seeds=seeds, n_iter_max=4, backend=backend,
-        num_threads=2,
+        tensors, 2, seeds=seeds, n_iter_max=4, num_threads=2,
     )
     for b, result in enumerate(results):
         assert_model_bits(
-            result, direct.model(b), f"coalesced b={b} backend={backend}"
+            result, direct.model(b), f"coalesced b={b}"
         )
         assert result.fit == float(direct.fits[b])
         assert result.iterations == int(direct.iterations[b])

@@ -1,18 +1,14 @@
-"""Tests for thread-count/backend configuration and BLAS thread control."""
+"""Tests for thread-count configuration and BLAS thread control."""
 
 import numpy as np
 import pytest
 
 from repro.parallel.blas import blas_threads, get_blas_threads, set_blas_threads
 from repro.parallel.config import (
-    get_backend,
     get_num_threads,
     num_threads,
-    resolve_backend,
     resolve_threads,
-    set_backend,
     set_num_threads,
-    use_backend,
 )
 
 
@@ -104,58 +100,3 @@ class TestBlasThreads:
         with blas_threads(1):
             assert get_blas_threads() == 1
         assert get_blas_threads() == before
-
-
-class TestBackendConfig:
-    def teardown_method(self):
-        set_backend("thread")
-
-    def test_default_is_thread(self):
-        assert get_backend() == "thread"
-
-    def test_set_and_get(self):
-        set_backend("process")
-        assert get_backend() == "process"
-
-    def test_set_normalizes_case(self):
-        set_backend("  Process ")
-        assert get_backend() == "process"
-
-    def test_set_invalid(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("cuda")
-        assert get_backend() == "thread"
-
-    def test_use_backend_restores(self):
-        with use_backend("process"):
-            assert get_backend() == "process"
-            with use_backend("thread"):
-                assert get_backend() == "thread"
-            assert get_backend() == "process"
-        assert get_backend() == "thread"
-
-    def test_use_backend_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_backend("process"):
-                raise RuntimeError("boom")
-        assert get_backend() == "thread"
-
-    def test_resolve(self):
-        assert resolve_backend(None) == get_backend()
-        assert resolve_backend("process") == "process"
-        with pytest.raises(ValueError):
-            resolve_backend("mpi")
-
-    def test_env_variable_selects_default(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.parallel.config import get_backend; print(get_backend())"],
-            env={"PYTHONPATH": "src", "REPRO_BACKEND": "process", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "process"

@@ -244,3 +244,18 @@ class TestDynamicSchedule:
 
             with pytest.raises(WorkerError):
                 pool.parallel_for(work, 10, schedule="dynamic", chunk=2)
+
+
+class TestCacheAfterShutdown:
+    def test_cp_als_runs_after_shutdown_all_pools(self, rng):
+        """Regression: a second cache in front of the pool cache handed
+        back a shut-down pool after ``shutdown_all_pools()``."""
+        from repro import cp_als, random_tensor
+
+        X = random_tensor((8, 7, 6), rng=rng)
+        first = cp_als(X, 3, n_iter_max=3, num_threads=2, rng=0)
+        shutdown_all_pools()
+        second = cp_als(X, 3, n_iter_max=3, num_threads=2, rng=0)
+        for a, b in zip(first.model.factors, second.model.factors):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first.model.weights, second.model.weights)

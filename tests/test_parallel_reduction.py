@@ -4,7 +4,26 @@ import numpy as np
 import pytest
 
 from repro.parallel.pool import ThreadPool
-from repro.parallel.reduction import allocate_private, parallel_reduce
+from repro.parallel.reduction import (
+    allocate_private,
+    allocate_shared,
+    parallel_reduce,
+)
+from repro.parallel.sanitizer import WriteLogArray, is_sanitizing, sanitize
+
+
+class TestAllocateShared:
+    def test_shape_dtype_and_zeroed(self):
+        buf = allocate_shared((3, 2), dtype=np.int64)
+        assert buf.shape == (3, 2) and buf.dtype == np.int64
+        assert not buf.any()
+
+    def test_instrumented_only_under_sanitizer(self):
+        if not is_sanitizing():
+            assert type(allocate_shared((4,))) is np.ndarray
+        with sanitize():
+            assert isinstance(allocate_shared((4,)), WriteLogArray)
+            assert isinstance(allocate_private(2, (4,)), WriteLogArray)
 
 
 class TestAllocatePrivate:

@@ -1,4 +1,4 @@
-"""Stress and regression tests for the pool/executor machinery.
+"""Stress and regression tests for the thread-pool machinery.
 
 Covers the failure modes fixed in this round: concurrent region launches
 on a shared pool, worker-exception chaining, pool ownership semantics,

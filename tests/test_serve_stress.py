@@ -19,7 +19,7 @@ Invariants pinned here (the ISSUE's acceptance scenario):
 
 Sizes are tiny on purpose — the properties under test are scheduling
 properties, not numerics — so the suite stays green under
-``REPRO_SANITIZE=1`` where every shm map/unmap is checked and slow.
+``REPRO_SANITIZE=1`` where every shared-array write is checked and slow.
 """
 
 from __future__ import annotations

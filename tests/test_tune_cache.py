@@ -1,9 +1,9 @@
 """Tuning-cache persistence contracts (see ``repro.tune.cache``).
 
 Covers the failure modes a persisted cache must absorb: corrupt or
-truncated files fall back to re-measurement instead of crashing, keys
-separate dtype and backend (a process-backend decision is never served to
-a thread-backend caller), concurrent writers land complete files via
+truncated files fall back to re-measurement instead of crashing, so do
+files at an older schema, keys separate dtype, concurrent writers land
+complete files via
 write-to-temp + atomic rename, and a cache written by one process is
 served (with zero measurements) in another.
 """
@@ -39,8 +39,7 @@ pytestmark = pytest.mark.tune
 
 def _key(**overrides) -> TuneKey:
     base = dict(
-        shape=(4, 5, 6), rank=3, mode=1, num_threads=2,
-        backend="thread", dtype="float64",
+        shape=(4, 5, 6), rank=3, mode=1, num_threads=2, dtype="float64",
     )
     base.update(overrides)
     return TuneKey.make(**base)
@@ -75,7 +74,7 @@ class TestRoundTrip:
         path = tmp_path / "tune.json"
         TuningCache(path).put(_key(), TuneRecord(method="onestep"))
         raw = json.loads(path.read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == 2
         assert _key().to_str() in raw["entries"]
 
     def test_in_memory_when_no_path(self):
@@ -90,10 +89,10 @@ class TestTolerantLoads:
         "content",
         [
             "{not json at all",
-            '{"version": 1, "entries": {"k": {"method": "x"',  # truncated
+            '{"version": 2, "entries": {"k": {"method": "x"',  # truncated
             '{"version": 99, "entries": {}}',  # future schema
             '["a", "list"]',  # wrong top-level type
-            '{"version": 1, "entries": {"k": {"no-method": true}}}',
+            '{"version": 2, "entries": {"k": {"no-method": true}}}',
         ],
         ids=["garbage", "truncated", "future-version", "wrong-type",
              "bad-record"],
@@ -120,7 +119,42 @@ class TestTolerantLoads:
         record = autotune(X, U, 1, num_threads=1, cache=cache, repeats=1)
         assert record.method in ("onestep", "twostep", "dimtree", "baseline")
         assert record.times  # measured, not served from the broken file
-        assert json.loads(path.read_text())["version"] == 1
+        assert json.loads(path.read_text())["version"] == 2
+
+    def test_old_schema_with_backend_keys_is_remeasured(self, tmp_path):
+        """Version-1 keys also named an execution backend: such a file
+        loads as an empty cache with one warning, and the next autotune
+        measures afresh and writes the current schema."""
+        path = tmp_path / "tune.json"
+        X, U = _problem()
+        old_key = (
+            "shape=4x5x6;rank=3;mode=1;threads=1;backend=thread;"
+            "dtype=float64;batch=1"
+        )
+        path.write_text(json.dumps({
+            "version": 1,
+            "entries": {old_key: {"method": "baseline", "kwargs": {},
+                                  "times": {}, "source": "measured"}},
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache = TuningCache(path)
+            assert len(cache) == 0
+            tracer = obs.enable()
+            try:
+                record = autotune(X, U, 1, num_threads=1, cache=cache,
+                                  repeats=1)
+            finally:
+                obs.disable()
+        assert [w.category for w in caught] == [TuneCacheWarning]
+        assert obs.counter_total(tracer, "tune.cache_miss") == 1
+        assert obs.counter_total(tracer, "tune.measure") > 0
+        assert record.times
+        raw = json.loads(path.read_text())
+        assert raw["version"] == 2
+        assert list(raw["entries"]) == [
+            TuneKey.make(X.shape, 3, 1, 1, "float64").to_str()
+        ]
 
     def test_missing_file_is_empty(self, tmp_path):
         cache = TuningCache(tmp_path / "absent.json")
@@ -136,33 +170,6 @@ class TestKeySeparation:
         assert cache.get(_key(dtype="float32")).method == "onestep"
         assert len(cache) == 2
 
-    def test_backend_distinguishes_entries(self, tmp_path):
-        cache = TuningCache(tmp_path / "tune.json")
-        cache.put(_key(backend="process"), TuneRecord(method="baseline"))
-        assert cache.get(_key(backend="thread")) is None
-
-    def test_process_decision_not_served_to_thread_caller(self, tmp_path):
-        """A decision recorded under the process backend is invisible to a
-        thread-backend autotune call, which measures its own."""
-        cache = TuningCache(tmp_path / "tune.json")
-        X, U = _problem()
-        fake = TuneRecord(method="baseline", source="measured")
-        cache.put(
-            TuneKey.make(X.shape, 3, 1, 1, "process", "float64"), fake
-        )
-        tracer = obs.enable()
-        try:
-            record = autotune(
-                X, U, 1, num_threads=1, backend="thread",
-                cache=cache, repeats=1,
-            )
-        finally:
-            obs.disable()
-        assert obs.counter_total(tracer, "tune.cache_hit") == 0
-        assert obs.counter_total(tracer, "tune.cache_miss") == 1
-        assert record.times  # fresh measurement
-        assert len(cache) == 2
-
     def test_every_key_component_matters(self):
         base = _key()
         variants = [
@@ -170,8 +177,8 @@ class TestKeySeparation:
             _key(rank=4),
             _key(mode=2),
             _key(num_threads=3),
-            _key(backend="process"),
             _key(dtype="float32"),
+            _key(batch=4),
         ]
         strs = {base.to_str()} | {v.to_str() for v in variants}
         assert len(strs) == 7
@@ -288,9 +295,9 @@ class TestStaleRecords:
     """
 
     def _stale_file(self, path, shape, method, kwargs=None, mode=1):
-        key = TuneKey.make(shape, 3, mode, 1, "thread", "float64")
+        key = TuneKey.make(shape, 3, mode, 1, "float64")
         payload = {
-            "version": 1,
+            "version": 2,
             "entries": {
                 key.to_str(): {
                     "method": method,
@@ -324,7 +331,7 @@ class TestStaleRecords:
                         warnings.simplefilter("always")
                         out = mttkrp(
                             X, U, 1, method="autotune",
-                            num_threads=1, backend="thread",
+                            num_threads=1,
                         )
                 finally:
                     obs.disable()
@@ -349,7 +356,7 @@ class TestStaleRecords:
                         warnings.simplefilter("error", TuneCacheWarning)
                         mttkrp(
                             X, U, 1, method="autotune",
-                            num_threads=1, backend="thread",
+                            num_threads=1,
                         )
                 finally:
                     obs.disable()
@@ -373,8 +380,7 @@ class TestStaleRecords:
         X, U = _problem(shape=shape)
         with pytest.warns(TuneCacheWarning, match="twostep:left"):
             record = autotune(
-                X, U, 0, num_threads=1, backend="thread",
-                cache=cache, repeats=1,
+                X, U, 0, num_threads=1, cache=cache, repeats=1,
             )
         assert record.label in ("onestep", "dimtree", "baseline")
         assert cache.get(key).label == record.label
