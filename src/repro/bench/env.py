@@ -4,10 +4,10 @@ Every speed number this repository publishes is only interpretable
 relative to *where* and *when* it was measured: a 1-CPU container and a
 12-core Xeon produce different truths, and a dirty working tree produces
 numbers no commit can vouch for.  This module captures that context once,
-in one shape, for every producer — the ``repro-bench`` registry runners,
-the pytest-benchmark suite under ``benchmarks/``, and the figure text
-exports — replacing the hand-rolled ``{"cpus": ..., "platform": ...}``
-dicts that previously drifted apart across ``results/BENCH_*.json``.
+in one shape, for every producer — the ``repro-bench`` registry runners
+and the figure text exports — replacing the hand-rolled
+``{"cpus": ..., "platform": ...}`` dicts that previously drifted apart
+across ``results/BENCH_*.json``.
 
 Three layers:
 

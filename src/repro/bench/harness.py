@@ -22,6 +22,7 @@ Since the registry refactor every point carries, beyond the headline
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -31,9 +32,12 @@ import repro.obs as obs
 from repro.bench.stream import stream_buffers, stream_scale
 from repro.bench.timing import time_samples
 from repro.core.dispatch import mttkrp
+from repro.core.krp import krp_rows
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
 from repro.cpd.cp_als import cp_als
+from repro.parallel.pool import get_pool
+from repro.parallel.reduction import allocate_private, parallel_reduce
 from repro.reference.tensor_toolbox import cp_als_ttb
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_factors
@@ -48,6 +52,7 @@ __all__ = [
     "run_stream_point",
     "run_mttkrp_point",
     "run_cpals_point",
+    "accumulation_mttkrp",
 ]
 
 
@@ -272,3 +277,59 @@ def run_cpals_point(
         },
         counters=obs.counters_snapshot(tracer),
     )
+
+
+class _LockedSum:
+    """One shared output that every task adds into while holding a lock."""
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.total = np.zeros(shape, order="C")
+        self._lock = threading.Lock()
+
+    def add(self, part: np.ndarray) -> None:
+        with self._lock:
+            self.total += part
+
+
+def accumulation_mttkrp(
+    tensor: DenseTensor,
+    factors: Sequence[np.ndarray],
+    n: int,
+    strategy: str,
+    threads: int,
+) -> np.ndarray:
+    """Internal-mode 1-step MTTKRP with the chosen accumulation scheme.
+
+    ``"private"`` is the paper's (DESIGN decision 5): each thread sums its
+    chunks into a private output and a tree reduction combines them.
+    ``"locked"`` adds every chunk into one shared output under a lock, so
+    the updates serialize.  Both use the same dynamic chunks, so a timing
+    difference isolates the accumulation scheme.
+    """
+    if strategy not in ("private", "locked"):
+        raise ValueError(f"unknown accumulation strategy {strategy!r}")
+    KL = khatri_rao_parallel(
+        [np.asarray(factors[k]) for k in range(n - 1, -1, -1)],
+        num_threads=threads,
+    )
+    right_ops = [np.asarray(factors[k]) for k in range(tensor.ndim - 1, n, -1)]
+    blocks3 = tensor.mode_blocks_view(n)
+    pool = get_pool(threads)
+    out_shape = (tensor.shape[n], KL.shape[1])
+
+    def chunk_sum(j0: int, j1: int) -> np.ndarray:
+        Kt = krp_rows(right_ops, j0, j1)[:, None, :] * KL[None, :, :]
+        return np.matmul(blocks3[j0:j1], Kt).sum(axis=0)
+
+    if strategy == "private":
+        out = allocate_private(threads, out_shape)
+
+        def work(t: int, j0: int, j1: int) -> None:
+            out[t] += chunk_sum(j0, j1)
+
+        pool.parallel_for(work, len(blocks3), schedule="dynamic", chunk=8)
+        return parallel_reduce(out, pool)
+    shared = _LockedSum(out_shape)
+    pool.parallel_for(lambda t, j0, j1: shared.add(chunk_sum(j0, j1)),
+                      len(blocks3), schedule="dynamic", chunk=8)
+    return shared.total

@@ -4,10 +4,9 @@ Before this module, results were scattered across three mutually
 incompatible ad-hoc JSON layouts (``results/BENCH_backend.json``,
 ``BENCH_dimtree.json``, ``BENCH_tune.json``) plus context-free
 ``fig*.txt`` text dumps, so "is PR N+1 faster than PR N?" required
-archaeology.  Every producer — the :mod:`repro.bench.registry` runners
-and the pytest-benchmark suite — now emits the **same versioned
-record** (the legacy dimtree and tune layouts were converted once into
-``results/{dimtree,tune}.bench.json``), and
+archaeology.  Every :mod:`repro.bench.registry` runner now emits the
+**same versioned record** (the legacy dimtree and tune layouts were
+converted once into ``results/{dimtree,tune}.bench.json``), and
 :mod:`repro.bench.trend` consumes nothing else.
 
 A record is a plain JSON-able dict::

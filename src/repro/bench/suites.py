@@ -4,9 +4,8 @@ Each runner measures a bounded, representative set of points for its
 benchmark at the requested ``scale`` (volumetric fraction of the paper
 workload) and returns normalized schema records.  Exhaustive sweeps
 remain available through the figure drivers
-(``python -m repro.bench.figures``) and the pytest-benchmark suite under
-``benchmarks/``; the registry's job is a *stable, comparable* set of
-cases the trend tracker can diff across PRs.
+(``python -m repro.bench.figures``); the registry's job is a *stable,
+comparable* set of cases the trend tracker can diff across PRs.
 
 Case ids are contract: ``repro.bench.trend`` matches history on
 ``(benchmark, case, host_class)``, so renaming a case silently orphans
@@ -18,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import (
+    accumulation_mttkrp,
     run_cpals_point,
     run_krp_point,
     run_mttkrp_point,
@@ -262,6 +262,15 @@ def _run_dimtree(scale, threads, repeats, rng):
                     "implementation": "batched", "threads": 1},
             repeats=repeats,
         ))
+        for T in [t for t in threads if t > 1]:
+            records.append(measure_case(
+                "dimtree", f"node/batched/T{T}",
+                lambda T=T: node_mttkrp(
+                    node, facs, 0, num_threads=T, workspace=ws),
+                params={"shape": list(node.shape), "rank": rank,
+                        "implementation": "batched", "threads": T},
+                repeats=repeats,
+            ))
     return records
 
 
@@ -328,7 +337,8 @@ def _run_autotune(scale, threads, repeats, rng):
 
 @register(
     "pool-overhead",
-    title="Pool substrate: region launch, reduction, parallel KRP",
+    title="Pool substrate: region launch, reduction, parallel KRP, "
+          "static vs dynamic schedule",
     tags=("parallel",),
     default_scale=1.0,
     default_repeats=5,
@@ -366,6 +376,25 @@ def _run_pool_overhead(scale, threads, repeats, rng):
         lambda: khatri_rao_parallel(mats, num_threads=T),
         params={"threads": T, "Z": 3, "C": 16}, repeats=repeats,
     ))
+    # Static vs dynamic schedule on skewed work: item i costs O(i), the
+    # worst case for contiguous static blocks.
+    pool = get_pool(T)
+    n_items = 64
+    skewed = [np.ones((64 * (i + 1), 16)) for i in range(n_items)]
+    sums = [np.empty(16) for _ in range(n_items)]
+
+    def column_sums(t, start, stop):
+        for i in range(start, stop):
+            sums[i][:] = skewed[i].sum(axis=0)
+
+    for schedule, chunk in (("static", None), ("dynamic", 2)):
+        records.append(measure_case(
+            "pool-overhead", f"schedule/{schedule}/T{T}",
+            lambda schedule=schedule, chunk=chunk: pool.parallel_for(
+                column_sums, n_items, schedule=schedule, chunk=chunk),
+            params={"threads": T, "items": n_items, "schedule": schedule},
+            repeats=repeats,
+        ))
     return records
 
 
@@ -377,7 +406,7 @@ def _run_pool_overhead(scale, threads, repeats, rng):
 @register(
     "ablations",
     title="Design ablations: 2-step side rule, 1-step KRP streaming, "
-          "KRP reuse depth",
+          "KRP reuse depth, private vs locked accumulation",
     tags=("ablation",),
     default_scale=0.1,
 )
@@ -423,6 +452,21 @@ def _run_ablations(scale, threads, repeats, rng):
                 mats, num_threads=1, schedule=schedule),
             params={"Z": 4, "C": 25, "rows": d ** 4, "schedule": schedule,
                     "threads": 1},
+            repeats=repeats,
+        ))
+    # Accumulation (DESIGN decision 5): private outputs plus a tree
+    # reduction vs one shared output under a lock, on an internal mode.
+    T = max([t for t in threads if t > 1] or [2])
+    acc_shape = scaled_shape((60,) * 5, 8 * scale * 0.004)
+    Xa = random_tensor(acc_shape, rng=rng + 3)
+    Ua = random_factors(acc_shape, 25, rng=rng + 4)
+    for strategy in ("private", "locked"):
+        records.append(measure_case(
+            "ablations", f"accumulation/{strategy}/T{T}",
+            lambda strategy=strategy: accumulation_mttkrp(
+                Xa, Ua, 2, strategy, T),
+            params={"shape": list(acc_shape), "rank": 25, "mode": 2,
+                    "strategy": strategy, "threads": T},
             repeats=repeats,
         ))
     return records

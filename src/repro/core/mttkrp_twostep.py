@@ -46,7 +46,7 @@ from repro.tensor.ttv import multi_ttv
 from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_factor_matrices, check_mode
 
-__all__ = ["mttkrp_twostep", "mttkrp_twostep_blocked", "choose_side"]
+__all__ = ["mttkrp_twostep", "choose_side"]
 
 
 def choose_side(shape: Sequence[int], n: int) -> str:
@@ -161,104 +161,3 @@ def mttkrp_twostep(
                     leading=False,
                 )
 
-
-def mttkrp_twostep_blocked(
-    tensor: DenseTensor,
-    factors: Sequence[np.ndarray],
-    n: int,
-    max_intermediate_entries: int,
-    num_threads: int | None = None,
-    side: str = "auto",
-    timers: PhaseTimer | None = None,
-) -> np.ndarray:
-    """Constant-memory 2-step MTTKRP via blocking (Vannieuwenhoven et al.).
-
-    The plain 2-step algorithm materializes an intermediate of
-    ``I^L_n * I_n * C`` (right-first) or ``I_n * I^R_n * C`` (left-first)
-    entries — for large tensors this temporary can rival the tensor
-    itself.  Vannieuwenhoven, Meerbergen and Vandebril [25] observe the
-    partial MTTKRP and the multi-TTV can be *interleaved blockwise*: each
-    block of the intermediate is produced by a GEMM on a contiguous slice
-    of the matricization view and consumed immediately by its multi-TTV
-    contribution, so only one block is ever alive.  They report (and the
-    paper relays) that capping the footprint does not hurt performance;
-    the ablation benchmark ``test_ablation_blocked_twostep`` checks that
-    here.
-
-    Blocking axes (both keep every GEMM on contiguous natural-layout
-    views):
-
-    * right-first: block over the output mode ``I_n`` — intermediate rows
-      ``[i0*I^L_n, i1*I^L_n)`` are a contiguous row range of ``X_(0:n)``;
-      each block finishes its own output rows ``M[i0:i1, :]``.
-    * left-first: block over ``I^R_n`` — intermediate rows
-      ``[r0*I_n, r1*I_n)`` are a contiguous row range of
-      ``X_(0:n-1)^T``; blocks *accumulate* into the full output.
-
-    Parameters
-    ----------
-    max_intermediate_entries:
-        Upper bound on the number of intermediate entries alive at once
-        (the block size is derived from it; at least one block row-group
-        is always used, so pathologically small budgets degrade to
-        fine-grained blocking rather than failing).
-    Other parameters as in :func:`mttkrp_twostep`.
-    """
-    if not isinstance(tensor, DenseTensor):
-        raise TypeError(
-            f"tensor must be a DenseTensor, got {type(tensor).__name__}"
-        )
-    n = check_mode(n, tensor.ndim)
-    check_factor_matrices(list(factors), tensor.shape)
-    if tensor.ndim < 3 or n == 0 or n == tensor.ndim - 1:
-        raise ValueError(
-            "blocked 2-step MTTKRP is defined only for internal modes"
-        )
-    if side not in ("auto", "left", "right"):
-        raise ValueError(f"side must be 'auto', 'left' or 'right', got {side!r}")
-    max_intermediate_entries = int(max_intermediate_entries)
-    if max_intermediate_entries <= 0:
-        raise ValueError("max_intermediate_entries must be positive")
-    T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
-    N = tensor.ndim
-    p = mode_products(tensor.shape, n)
-    rank = np.asarray(factors[0]).shape[1]
-
-    with t.phase("lr_krp"):
-        KL = khatri_rao([np.asarray(factors[k]) for k in range(n - 1, -1, -1)])
-        KR = khatri_rao([np.asarray(factors[k]) for k in range(N - 1, n, -1)])
-    if side == "auto":
-        side = choose_side(tensor.shape, n)
-
-    M = np.zeros((p.size, rank), dtype=tensor.dtype, order="C")
-    with blas_threads(T):
-        if side == "right":
-            # Block over I_n: rows_per_group intermediate rows = group*ILn.
-            group = max(max_intermediate_entries // (p.left * rank), 1)
-            X = tensor.unfold_front(n)  # (ILn*In, IRn) column-major view
-            for i0 in range(0, p.size, group):
-                i1 = min(i0 + group, p.size)
-                with t.phase("gemm"):
-                    # Contiguous row slice of the column-major view.
-                    Rb = KR.T @ X[i0 * p.left : i1 * p.left].T
-                    # Rb is (C, (i1-i0)*ILn) C-contiguous == natural layout
-                    # of the block of R.
-                with t.phase("gemv"):
-                    for j in range(rank):
-                        sub = Rb[j].reshape((p.left, i1 - i0), order="F")
-                        M[i0:i1, j] = KL[:, j] @ sub
-        else:
-            # Block over I^R_n; contributions accumulate into M.
-            group = max(max_intermediate_entries // (p.size * rank), 1)
-            XT = tensor.unfold_front(n - 1).T  # (In*IRn, ILn) row-major view
-            for r0 in range(0, p.right, group):
-                r1 = min(r0 + group, p.right)
-                with t.phase("gemm"):
-                    Lb = KL.T @ XT[r0 * p.size : r1 * p.size].T
-                    # (C, (r1-r0)*In) C-contiguous.
-                with t.phase("gemv"):
-                    for j in range(rank):
-                        sub = Lb[j].reshape((p.size, r1 - r0), order="F")
-                        M[:, j] += sub @ KR[r0:r1, j]
-    return M

@@ -21,13 +21,10 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from repro.parallel.sanitizer import SanitizerError, is_sanitizing
-
 __all__ = [
     "set_blas_threads",
     "get_blas_threads",
     "blas_threads",
-    "assert_native_layout",
 ]
 
 _lock = threading.Lock()
@@ -129,34 +126,6 @@ def get_blas_threads() -> int | None:
     if funcs is None or funcs[1] is None:
         return None
     return int(funcs[1]())
-
-
-def assert_native_layout(arr, context: str = "operand"):
-    """Assert ``arr`` is contiguous in *some* order before a BLAS call.
-
-    The runtime counterpart of lint rules RA003/RA004 (see
-    ``docs/analysis.md``): an operand contiguous in neither order forces a
-    hidden copy per call — or, as an ``out=`` destination, routes BLAS
-    output through foreign strides onto a different code path.  Call sites
-    use this to back layout assumptions the static lint cannot prove
-    (e.g. "this reshape of a flat shared buffer is C-contiguous").
-
-    No-op unless the write-set sanitizer is enabled (``REPRO_SANITIZE=1``
-    or an open :func:`repro.analysis.sanitize` context); returns ``arr``
-    either way so it composes inline.
-    """
-    if not is_sanitizing():
-        return arr
-    flags = arr.flags
-    if not (flags["C_CONTIGUOUS"] or flags["F_CONTIGUOUS"]):
-        raise SanitizerError(
-            f"{context}: array of shape {arr.shape} with strides "
-            f"{arr.strides} is contiguous in neither order — BLAS would "
-            f"copy it per call (or write output through foreign strides); "
-            f"materialize it explicitly (np.ascontiguousarray or an "
-            f"order-pinned copy)"
-        )
-    return arr
 
 
 @contextmanager

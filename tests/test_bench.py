@@ -149,6 +149,12 @@ class TestFigureDrivers:
         )
         assert "gemm" in text
 
+    def test_fig7_modeled(self):
+        from repro.bench.figures import fig7
+
+        text = self._run(fig7, measured=False)
+        assert "TTB" in text and "dimtree" in text
+
     def test_fig8_modeled(self):
         from repro.bench.figures import fig8
 

@@ -1,5 +1,6 @@
 """Tests for the benchmark registry and the repro-bench CLI."""
 
+import numpy as np
 import pytest
 
 from repro.bench.cli import main as cli_main
@@ -16,6 +17,36 @@ EXPECTED = {
     "fig4", "fig5", "fig6", "fig7", "fig8",
     "dimtree", "autotune", "pool-overhead", "ablations",
 }
+
+
+# Case ids each suite must emit at threads (1, 2); ids are contract, so
+# these pin the cases that have no other harness.
+PORTED_CASES = {
+    "ablations": {"accumulation/private/T2", "accumulation/locked/T2"},
+    "pool-overhead": {"schedule/static/T2", "schedule/dynamic/T2"},
+    "dimtree": {"node/batched", "node/batched/T2"},
+}
+
+
+class TestAccumulationAblation:
+    @pytest.mark.parametrize("strategy", ["private", "locked"])
+    def test_matches_onestep(self, strategy):
+        from repro.bench.harness import accumulation_mttkrp
+        from repro.core.dispatch import mttkrp
+        from repro.tensor.generate import random_factors, random_tensor
+
+        shape = (5, 4, 6, 3, 4)
+        X = random_tensor(shape, rng=0)
+        U = random_factors(shape, 5, rng=1)
+        ref = mttkrp(X, U, 2, method="onestep", num_threads=1)
+        got = accumulation_mttkrp(X, U, 2, strategy, 2)
+        np.testing.assert_allclose(got, ref, atol=1e-8)
+
+    def test_rejects_unknown_strategy(self):
+        from repro.bench.harness import accumulation_mttkrp
+
+        with pytest.raises(ValueError, match="accumulation strategy"):
+            accumulation_mttkrp(None, [], 2, "atomic", 2)
 
 
 class TestRegistry:
@@ -36,19 +67,20 @@ class TestRegistry:
         with pytest.raises(KeyError, match="available.*fig4"):
             get_spec("fig99")
 
-    def test_run_one_smoke(self):
+    @pytest.mark.parametrize("name", sorted(PORTED_CASES))
+    def test_run_one_smoke(self, name):
         # the registry smoke test kept inside tier-1: tiny scale, 1 repeat
-        records = run_benchmark(
-            "ablations", scale=0.01, threads=(1,), repeats=1
-        )
+        records = run_benchmark(name, scale=0.01, threads=(1, 2), repeats=1)
         assert records
         for record in records:
             validate_record(record)
-            assert record["benchmark"] == "ablations"
+            assert record["benchmark"] == name
             assert record["timing"]["median_s"] > 0
             assert record["host"]["git_rev"]
             assert record["context"]["source"] == "repro-bench"
             assert record["context"]["scale"] == 0.01
+        cases = {record["case"] for record in records}
+        assert PORTED_CASES[name] <= cases
 
     def test_measured_record_has_obs_counters(self):
         records = run_benchmark(

@@ -4,8 +4,8 @@ The lint flagged four allocations that receive BLAS output without an
 explicit ``order=`` (mttkrp_onestep, mttkrp_twostep, dimtree.node_mttkrp,
 machine.calibrate); all are now pinned C-order.  These tests freeze the
 resulting contract — the outputs those allocations become are
-C-contiguous — and cover the runtime layout assertion that backs the two
-reviewed RA004 suppressions in mttkrp_twostep.
+C-contiguous — and run the internal-mode 2-step under the write-set
+sanitizer.
 """
 
 import numpy as np
@@ -15,8 +15,7 @@ from repro.core.dimtree import left_partial, node_mttkrp, split_point
 from repro.core.mttkrp_onestep import mttkrp_onestep
 from repro.core.mttkrp_twostep import mttkrp_twostep
 from repro.machine.calibrate import measure_gemm_gflops
-from repro.parallel.blas import assert_native_layout
-from repro.parallel.sanitizer import SanitizerError, sanitize
+from repro.parallel.sanitizer import sanitize
 from repro.tensor.generate import random_factors, random_tensor
 
 SHAPE = (5, 6, 4, 3)
@@ -38,7 +37,7 @@ class TestPinnedOutputsAreCContiguous:
             assert M.flags.c_contiguous, f"mode {n}"
             assert M.shape == (SHAPE[n], RANK)
 
-    def test_twostep_blocked_accumulator(self, problem):
+    def test_twostep_internal_modes(self, problem):
         X, U = problem
         for n in range(1, len(SHAPE) - 1):  # twostep is internal-mode only
             M = np.asarray(mttkrp_twostep(X, U, n))
@@ -58,28 +57,8 @@ class TestPinnedOutputsAreCContiguous:
         assert rate > 0
 
 
-class TestAssertNativeLayout:
-    def test_noop_when_sanitizer_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        hazard = np.zeros((6, 6))[::2, :].T  # neither-order view
-        assert assert_native_layout(hazard, "test") is hazard
-
-    def test_passes_native_operands(self):
-        with sanitize():
-            c = np.zeros((4, 4), order="C")
-            f = np.zeros((4, 4), order="F")
-            assert assert_native_layout(c, "test") is c
-            assert assert_native_layout(f, "test") is f
-            ct = c.T  # F-contiguous native transpose
-            assert assert_native_layout(ct, "test") is ct
-
-    def test_rejects_neither_order_view(self):
-        with sanitize():
-            hazard = np.zeros((6, 6))[::2, :].T
-            with pytest.raises(SanitizerError, match="neither order"):
-                assert_native_layout(hazard, "test.ctx")
-
-    def test_twostep_suppressed_sites_hold_under_sanitizer(self, problem):
+class TestTwostepUnderSanitizer:
+    def test_internal_modes_finite(self, problem):
         # Every internal-mode 2-step run must stay finite and
         # layout-clean under the sanitizer.
         X, U = problem

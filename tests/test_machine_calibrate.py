@@ -38,6 +38,7 @@ class TestCalibratedModel:
         assert host.peak_gflops_per_core > 0
         assert host.bw_max_gbs >= host.bw_single_gbs
 
+    @pytest.mark.bench
     def test_stream_prediction_tracks_measurement(self, host):
         """Model form check: predicted STREAM time within 3x of measured
         (loose on purpose — container timing is noisy)."""
@@ -50,6 +51,7 @@ class TestCalibratedModel:
         assert predicted / measured_time < 4.0
         assert measured_time / predicted < 4.0
 
+    @pytest.mark.bench
     def test_gemm_prediction_tracks_measurement(self, host):
         n = 384
         gf = measure_gemm_gflops(n, n, n, repeats=2)

@@ -154,84 +154,90 @@ def test_dead_at_dispatch_retries_on_fresh_worker():
 
 
 def test_nan_tensor_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=np.full((3, 3), np.nan)))
-    assert excinfo.value.field == "tensor"
+    spec = JobSpec(rank=2, tensor=np.full((3, 3), np.nan))
+    assert _reject(spec).field == "tensor"
 
 
 def test_inf_tensor_rejected():
     arr = np.ones((3, 3))
     arr[1, 1] = np.inf
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=arr))
-    assert excinfo.value.field == "tensor"
+    assert _reject(JobSpec(rank=2, tensor=arr)).field == "tensor"
 
 
 def test_wrong_dtype_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=np.ones((3, 3), dtype=np.int64)))
-    assert excinfo.value.field == "tensor"
+    spec = JobSpec(rank=2, tensor=np.ones((3, 3), dtype=np.int64))
+    assert _reject(spec).field == "tensor"
 
 
 def test_wrong_shape_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=np.ones(5)))  # order 1
-    assert excinfo.value.field == "tensor"
+    spec = JobSpec(rank=2, tensor=np.ones(5))  # order 1
+    assert _reject(spec).field == "tensor"
 
 
 def test_rank_zero_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=0, tensor=np.ones((3, 3))))
-    assert excinfo.value.field == "rank"
+    assert _reject(JobSpec(rank=0, tensor=np.ones((3, 3)))).field == "rank"
 
 
 def test_both_payload_sources_rejected(tmp_path):
     ref = tmp_path / "t.npz"
     ref.write_bytes(b"x")
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=np.ones((3, 3)),
-                             tensor_ref=str(ref)))
-    assert excinfo.value.field == "tensor"
+    spec = JobSpec(rank=2, tensor=np.ones((3, 3)), tensor_ref=str(ref))
+    assert _reject(spec).field == "tensor"
 
 
 def test_neither_payload_source_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2))
-    assert excinfo.value.field == "tensor"
+    assert _reject(JobSpec(rank=2)).field == "tensor"
 
 
 def test_missing_ref_rejected():
-    with pytest.raises(AdmissionError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor_ref="/no/such/file.npz"))
-    assert excinfo.value.field == "tensor_ref"
+    spec = JobSpec(rank=2, tensor_ref="/no/such/file.npz")
+    assert _reject(spec).field == "tensor_ref"
 
 
 def test_thread_budget_rejected():
-    with pytest.raises(BudgetError) as excinfo:
-        _submit_once(JobSpec(rank=2, tensor=np.ones((3, 3)),
-                             num_threads=1_000_000))
-    assert excinfo.value.field == "num_threads"
-    assert excinfo.value.requested == 1_000_000
-    assert excinfo.value.allowed >= 1
+    spec = JobSpec(rank=2, tensor=np.ones((3, 3)), num_threads=1_000_000)
+    err = _reject(spec, BudgetError)
+    assert err.field == "num_threads"
+    assert err.requested == 1_000_000
+    assert err.allowed >= 1
 
 
 def test_arena_budget_rejected():
-    with pytest.raises(BudgetError) as excinfo:
-        _submit_once(JobSpec(rank=4, tensor=np.ones((8, 8, 8)),
-                             arena_bytes=16))
-    assert excinfo.value.field == "arena_bytes"
-    assert excinfo.value.requested > excinfo.value.allowed == 16
+    spec = JobSpec(rank=4, tensor=np.ones((8, 8, 8)), arena_bytes=16)
+    err = _reject(spec, BudgetError)
+    assert err.field == "arena_bytes"
+    assert err.requested > err.allowed == 16
+
+
+def test_rejections_never_touch_queue_or_workers():
+    # One rejection of each kind, back to back on the same server.
+    for spec in (
+        JobSpec(rank=2, tensor=np.full((3, 3), np.nan)),
+        JobSpec(rank=0, tensor=np.ones((3, 3))),
+        JobSpec(rank=2),
+        JobSpec(rank=2, tensor_ref="/no/such/file.npz"),
+        JobSpec(rank=2, tensor=np.ones((3, 3)), num_threads=1_000_000),
+        JobSpec(rank=4, tensor=np.ones((8, 8, 8)), arena_bytes=16),
+    ):
+        _reject(spec)
 
 
 _SHARED = None
 
 
-def _submit_once(spec: JobSpec):
-    """Admission-only submissions share one module-scoped server."""
+def _reject(spec: JobSpec, error: type[AdmissionError] = AdmissionError):
+    """Submit ``spec`` to one module-scoped, admission-only server and
+    expect ``error``; the rejection must leave the queue and the workers
+    untouched.  Returns the raised error."""
     global _SHARED
     if _SHARED is None:
         _SHARED = JobServer(ServeConfig(workers=1, paused=True))
-    return _SHARED.submit(spec)
+    with pytest.raises(error) as excinfo:
+        _SHARED.submit(spec)
+    stats = _SHARED.stats()
+    assert stats["admitted"] == 0
+    assert stats["queue_depth"] == 0
+    return excinfo.value
 
 
 def teardown_module() -> None:
@@ -239,12 +245,3 @@ def teardown_module() -> None:
     if _SHARED is not None:
         _SHARED.shutdown(drain=False, timeout=10.0)
         _SHARED = None
-
-
-def test_rejections_never_touch_queue_or_workers():
-    # After every rejection test above, the shared server saw nothing.
-    if _SHARED is None:  # pragma: no cover - ordering guard
-        pytest.skip("no rejection test ran first")
-    stats = _SHARED.stats()
-    assert stats["admitted"] == 0
-    assert stats["queue_depth"] == 0
