@@ -79,11 +79,14 @@ def validate_spec(spec: JobSpec) -> JobSpec:
 
     Inline tensors are unwrapped (:class:`~repro.tensor.dense.DenseTensor`
     accepted) and validated; ref payloads are checked for existence only
-    (the worker loads them).  Raises :class:`AdmissionError` naming the
+    (the worker loads them).  ``num_threads=None`` is resolved to the
+    package default here, once, so the count admission charges is the
+    count the worker runs.  Raises :class:`AdmissionError` naming the
     offending field — never anything untyped.
     """
     from dataclasses import replace
 
+    from repro.parallel.config import resolve_threads
     from repro.tensor.dense import DenseTensor
 
     if (spec.tensor is None) == (spec.tensor_ref is None):
@@ -109,6 +112,7 @@ def validate_spec(spec: JobSpec) -> JobSpec:
         raise AdmissionError(
             "num_threads", f"must be >= 1, got {spec.num_threads}"
         )
+    spec = replace(spec, num_threads=resolve_threads(spec.num_threads))
 
     if spec.tensor_ref is not None:
         if not os.path.exists(spec.tensor_ref):
@@ -162,13 +166,13 @@ def admit(
     max_threads: int,
     max_bytes: int,
 ) -> None:
-    """Resource-budget admission for a structurally valid spec.
+    """Resource-budget admission for a spec :func:`validate_spec` returned.
 
     ``max_threads`` comes from the machine model's core count,
     ``max_bytes`` from the server config; the job's own ``arena_bytes``
     can only tighten the latter.
     """
-    threads = spec.num_threads if spec.num_threads is not None else 1
+    threads = spec.num_threads
     if threads > max_threads:
         raise BudgetError(
             "num_threads", threads, max_threads,

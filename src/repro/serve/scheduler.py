@@ -52,7 +52,7 @@ class GroupKey(NamedTuple):
     dtype: str
     n_iter_max: int
     tol: float
-    num_threads: int | None
+    num_threads: int
 
 
 def group_key(job, *, max_item_elems: int) -> GroupKey | None:
@@ -98,14 +98,13 @@ def batching_pays(key: GroupKey, group_size: int) -> bool:
     """
     if group_size < 2:
         return False
-    from repro.parallel.config import resolve_threads
     from repro.tune.cache import TuneKey, get_cache
 
     tune_key = TuneKey.make(
         key.shape,
         key.rank,
         0,
-        resolve_threads(key.num_threads),
+        key.num_threads,
         key.dtype,
         batch=min(int(group_size), _PROXY_BATCH_LIMIT),
     )

@@ -55,6 +55,16 @@ __all__ = ["ServeConfig", "JobServer", "JobHandle"]
 
 _clock = time.monotonic
 
+#: How long a tender waits on its worker's pipe before it also checks
+#: that the process is alive.  Replies and a clean death (EOF) wake the
+#: tender at once; this only bounds how late a wedged pipe is noticed.
+_LIVENESS_POLL_S = 0.1
+
+#: The ``done`` event of every finished job: a finished job drops its
+#: own :class:`threading.Event` so it keeps only its result.
+_FINISHED = threading.Event()
+_FINISHED.set()
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -82,8 +92,6 @@ class ServeConfig:
         coalesced (matches the batched engine's small-tensor regime).
     progress_every:
         Stream a progress message every N iterations (0 disables).
-    poll_interval:
-        Tender pipe-poll granularity in seconds.
     start_method:
         ``multiprocessing`` start method for the worker pool; defaults
         to ``$REPRO_MP_START`` or ``fork`` where available.
@@ -100,7 +108,6 @@ class ServeConfig:
     batch_limit: int = 16
     max_item_elems: int = 1 << 14
     progress_every: int = 1
-    poll_interval: float = 0.02
     start_method: str | None = None
     paused: bool = False
 
@@ -263,7 +270,7 @@ class JobServer:
                 max_threads=self._max_threads,
                 max_bytes=self._max_bytes,
             )
-        elif spec.num_threads is not None and spec.num_threads > self._max_threads:
+        elif spec.num_threads > self._max_threads:
             # Ref jobs: the tensor never transits the parent, so only
             # the thread budget is checkable at admission.
             from repro.serve.job import BudgetError
@@ -601,16 +608,22 @@ class JobServer:
     def _dispatch(self, jobs: list[_Job], handle: WorkerHandle,
                   payload: dict) -> None:
         try:
-            handle.send(("job", payload))
-        except WorkerDied:
-            # Dead before the job ever started: respawn and retry once
-            # (the retry cannot double-run — nothing was dispatched).
-            handle.respawn()
             try:
-                handle.send(("job", payload))
-            except WorkerDied as died:
-                self._fail_with_death(jobs, died)
-                return
+                handle.send_job(payload)
+            except WorkerDied:
+                # Dead before the job ever started: respawn and retry once
+                # (the retry cannot double-run — nothing was dispatched).
+                handle.respawn()
+                try:
+                    handle.send_job(payload)
+                except WorkerDied as died:
+                    self._fail_with_death(jobs, died)
+                    return
+        except OSError as exc:  # no memfd for the tensor; nothing was sent
+            for job in jobs:
+                self._finalize(job, JobState.FAILED, error=repr(exc),
+                               exception=exc)
+            return
         self._await(jobs, handle)
 
     def _await(self, jobs: list[_Job], handle: WorkerHandle) -> None:
@@ -618,7 +631,7 @@ class JobServer:
         head_id = jobs[0].job_id
         while True:
             try:
-                msg = handle.recv(timeout=self.config.poll_interval)
+                msg = handle.recv(timeout=_LIVENESS_POLL_S)
             except WorkerDied as died:
                 self._fail_with_death(jobs, died)
                 handle.respawn()
@@ -710,6 +723,12 @@ class JobServer:
             job.finished_at = now
             job.error = error
             job.exception = exception
+            # Keep only what status() and result() read: the tensor (an
+            # admission copy for C-order input) and the per-job Event go.
+            job.tensor = None
+            if job.spec.tensor is not None:
+                job.spec = replace(job.spec, tensor=None)
+            done, job.done = job.done, _FINISHED
             if job.started_at is not None:
                 self._run_times.append(now - job.started_at)
             if state is JobState.DONE:
@@ -718,7 +737,7 @@ class JobServer:
                 self._failed += 1
             elif state is JobState.CANCELLED:
                 self._cancelled += 1
-        job.done.set()
+        done.set()  # wakes a thread that took the old Event before the swap
 
     # ------------------------------------------------------------------ #
 

@@ -2,10 +2,19 @@
 
 One :class:`WorkerHandle` per pool slot.  The child process
 (:func:`serve_worker_main`) is deliberately simple — a message loop that
-runs **one job at a time** on a private thread while the loop itself
-keeps polling the pipe, so cancellation messages land mid-run and are
-delivered to the job through its :class:`~repro.util.cancel.CancelToken`
-(checked by the drivers at iteration boundaries).
+runs **one job at a time** on a private thread.  While the job runs, the
+loop blocks on two things at once: the pipe, so cancellation messages
+land mid-run and are delivered to the job through its
+:class:`~repro.util.cancel.CancelToken` (checked by the drivers at
+iteration boundaries), and a self-pipe the job thread writes one byte to
+when it finishes, so the reply leaves the moment the result exists.
+
+Transport: payloads are pickled through the pipe, except that a solo
+tensor of at least :data:`MEMFD_MIN_BYTES` is copied once into an
+anonymous ``memfd`` whose descriptor follows the job message over the
+same socket (``SCM_RIGHTS``).  The worker maps it read-only and runs on
+the mapping without a copy.  The buffer has no name, so it is freed
+when the last descriptor and mapping go, however the worker exits.
 
 Robustness contract (the fault-injection suite pins this):
 
@@ -26,18 +35,22 @@ never terminates a worker behind the server's back.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import threading
 import time
 import traceback
 from contextlib import nullcontext
+from multiprocessing.connection import wait
+from multiprocessing.reduction import recv_handle, send_handle
 
 import numpy as np
 
 from repro.parallel.pool import WorkerError
 
 __all__ = [
+    "MEMFD_MIN_BYTES",
     "WorkerHandle",
     "WorkerDied",
     "reset_worker_runtime_state",
@@ -45,6 +58,14 @@ __all__ = [
 ]
 
 _clock = time.monotonic
+
+#: Solo tensors of at least this many bytes reach the worker through a
+#: memfd instead of the pickle stream.  Below it, creating and mapping
+#: the buffer costs more than pickling the bytes.
+MEMFD_MIN_BYTES = 1 << 20
+
+#: ``os.memfd_create`` is Linux-only; elsewhere every tensor is pickled.
+_HAVE_MEMFD = hasattr(os, "memfd_create")
 
 
 class WorkerDied(RuntimeError):
@@ -106,6 +127,13 @@ def _load_tensor(payload: dict):
         from repro.io import load_tensor
 
         return load_tensor(payload["ref"])
+    if payload.get("fd") is not None:
+        dtype = np.dtype(payload["memfd"])
+        nbytes = dtype.itemsize * int(np.prod(payload["shape"]))
+        # mmap keeps its own duplicate of the descriptor; the mapping
+        # (and with it the buffer) goes when the tensor does.
+        buf = mmap.mmap(payload["fd"], nbytes, access=mmap.ACCESS_READ)
+        return DenseTensor(np.frombuffer(buf, dtype=dtype), payload["shape"])
     return DenseTensor(payload["data"], payload["shape"])
 
 
@@ -182,8 +210,6 @@ def reset_worker_runtime_state() -> None:
 
 def serve_worker_main(rank: int, conn) -> None:
     """Child-process entry: message loop around a one-job-at-a-time thread."""
-    from repro.util.cancel import CancelToken
-
     reset_worker_runtime_state()
     send_lock = threading.Lock()
 
@@ -192,63 +218,107 @@ def serve_worker_main(rank: int, conn) -> None:
         with send_lock:
             conn.send_bytes(payload)
 
+    wake_r, wake_w = os.pipe()
     stop = False
-    while not stop:
+    try:
+        while not stop:
+            try:
+                msg = pickle.loads(conn.recv_bytes())
+                if msg[0] == "job" and msg[1].get("memfd") is not None:
+                    # The descriptor is the next byte on the socket.
+                    msg[1]["fd"] = recv_handle(conn)
+            except (EOFError, OSError):
+                break
+            if msg[0] == "stop":
+                break
+            if msg[0] != "job":  # stale cancel for a finished job
+                continue
+            stop = _run_job(msg[1], conn, send, wake_r, wake_w)
+    finally:
+        os.close(wake_r)
+        os.close(wake_w)
+
+
+def _run_job(payload: dict, conn, send, wake_r: int, wake_w: int) -> bool:
+    """Run one job on a thread; True if the loop must stop afterwards.
+
+    The thread writes one byte to ``wake_w`` when it finishes; until
+    then the pipe stays live for cancel and stop messages.
+    """
+    from repro.util.cancel import CancelToken
+
+    job_id = payload["job_id"]
+    remaining = payload.get("timeout_remaining")
+    token = CancelToken(
+        deadline=None if remaining is None else _clock() + remaining
+    )
+    every = int(payload.get("progress_every") or 0)
+    if every > 0:
+        def on_progress(it, fit):
+            if it % every == 0:
+                send(("progress", job_id, int(it), float(fit)))
+
+        token.on_progress = on_progress
+
+    reply_box: list = []
+
+    def run() -> None:
         try:
-            raw = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        msg = pickle.loads(raw)
-        if msg[0] == "stop":
-            break
-        if msg[0] != "job":  # stale cancel for a finished job
-            continue
-        payload = msg[1]
-        job_id = payload["job_id"]
-        remaining = payload.get("timeout_remaining")
-        token = CancelToken(
-            deadline=None if remaining is None else _clock() + remaining
-        )
-        every = int(payload.get("progress_every") or 0)
-        if every > 0:
-            def on_progress(it, fit, job_id=job_id, every=every):
-                if it % every == 0:
-                    send(("progress", job_id, int(it), float(fit)))
+            reply_box.append(_execute_payload(payload, token))
+        finally:
+            os.write(wake_w, b"\0")
 
-            token.on_progress = on_progress
-
-        reply_box: list = []
-
-        def run(payload=payload, token=token, box=reply_box) -> None:
-            box.append(_execute_payload(payload, token))
-
+    stop = False
+    try:
         thread = threading.Thread(
             target=run, name=f"repro-serve-job-{job_id}", daemon=True
         )
         thread.start()
-        # Pump the pipe while the job runs so cancellation lands mid-run.
-        while thread.is_alive():
-            if conn.poll(0.02):
-                try:
-                    ctl = pickle.loads(conn.recv_bytes())
-                except (EOFError, OSError):
-                    ctl = ("stop",)
-                if ctl[0] == "stop":
-                    token.cancel("server shutdown")
-                    stop = True
-                elif ctl[0] == "cancel" and ctl[1] == job_id:
-                    token.cancel(ctl[2] if len(ctl) > 2 else "cancelled")
-        thread.join()
-        if reply_box:
+        # Block until the job finishes; cancel and stop land mid-run.
+        watch = [conn, wake_r]
+        while wake_r not in wait(watch):
             try:
-                send(reply_box[0])
-            except (OSError, ValueError):  # parent went away
-                break
+                ctl = pickle.loads(conn.recv_bytes())
+            except (EOFError, OSError):
+                ctl = ("stop",)
+                watch = [wake_r]  # the parent is gone; EOF stays readable
+            if ctl[0] == "stop":
+                token.cancel("server shutdown")
+                stop = True
+            elif ctl[0] == "cancel" and ctl[1] == job_id:
+                token.cancel(ctl[2] if len(ctl) > 2 else "cancelled")
+        os.read(wake_r, 1)
+        thread.join()
+    finally:
+        if payload.get("fd") is not None:
+            os.close(payload["fd"])
+    if reply_box:
+        try:
+            send(reply_box[0])
+        except (OSError, ValueError):  # parent went away
+            return True
+    return stop
 
 
 # --------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------- #
+
+
+def _tensor_memfd(data: np.ndarray) -> int:
+    """A new anonymous memfd holding one copy of ``data``'s bytes.
+
+    The caller owns (and closes) the returned descriptor.
+    """
+    fd = os.memfd_create("repro-serve-tensor", os.MFD_CLOEXEC)
+    try:
+        view = memoryview(np.ascontiguousarray(data)).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
 
 
 class WorkerHandle:
@@ -320,14 +390,41 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self._proc is not None and self._proc.is_alive()
 
-    def send(self, msg) -> None:
-        """Ship a message; raises :class:`WorkerDied` on a broken pipe."""
-        conn = self._conn
-        if conn is None:
+    def send_job(self, payload: dict) -> None:
+        """Ship a job payload; a ``data`` tensor of at least
+        :data:`MEMFD_MIN_BYTES` goes by memfd (module docstring).
+
+        Raises :class:`WorkerDied` on a broken pipe, and ``OSError`` if
+        no memfd can be made for the tensor.
+        """
+        data = payload.get("data")
+        if data is None or data.nbytes < MEMFD_MIN_BYTES or not _HAVE_MEMFD:
+            self.send(("job", payload))
+            return
+        fd = _tensor_memfd(data)
+        try:
+            self.send(
+                ("job", {**payload, "data": None, "memfd": data.dtype.str}), fd
+            )
+        finally:
+            # Once sent, the worker holds its own reference to the buffer.
+            os.close(fd)
+
+    def send(self, msg, fd: int | None = None) -> None:
+        """Ship a message, then ``fd`` if given; :class:`WorkerDied` on a
+        broken pipe.
+
+        The descriptor goes under the same lock as the message, so no
+        other message can land between the two.
+        """
+        conn, proc = self._conn, self._proc
+        if conn is None or proc is None:
             raise WorkerDied(self.rank, "no process")
         try:
             with self._send_lock:
                 conn.send_bytes(pickle.dumps(msg))
+                if fd is not None:
+                    send_handle(conn, fd, proc.pid)
         except (OSError, ValueError) as exc:
             raise WorkerDied(self.rank, f"pipe send failed ({exc!r})") from None
 

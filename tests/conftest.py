@@ -56,6 +56,26 @@ def _single_thread_default():
         yield
 
 
+@pytest.fixture
+def memfd_sends(monkeypatch) -> list[int]:
+    """Byte counts of the tensors the serve parent sends by memfd.
+
+    Workers fork from the test process after the patch, so a count in
+    the parent sees every memfd a dispatch makes.
+    """
+    import repro.serve.worker as worker_mod
+
+    sent: list[int] = []
+    real = worker_mod._tensor_memfd
+
+    def counting(data):
+        sent.append(data.nbytes)
+        return real(data)
+
+    monkeypatch.setattr(worker_mod, "_tensor_memfd", counting)
+    return sent
+
+
 _SHUFFLE_ENV = "REPRO_TEST_SHUFFLE"
 
 

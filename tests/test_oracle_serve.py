@@ -23,6 +23,8 @@ verifies the composition the oracle then replays.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,31 @@ def test_solo_bit_identical_to_direct_cp_als():
             )
             assert result.fit == direct.final_fit
             assert result.iterations == direct.iterations
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="needs memfd")
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_solo_memfd_job_bit_identical_to_direct_cp_als(dtype, memfd_sends):
+    # A tensor of at least MEMFD_MIN_BYTES reaches the worker through a
+    # read-only memfd mapping instead of the pickle stream; the bits of
+    # the result must not notice.  A small job on the same server stays
+    # on the pipe.
+    from repro.serve.worker import MEMFD_MIN_BYTES
+
+    big = draw_tensor(800, shape=(96, 64, 48), dtype=dtype)
+    small = draw_tensor(801, dtype=dtype)
+    assert big.nbytes >= MEMFD_MIN_BYTES > small.nbytes
+    with JobServer(ServeConfig(workers=1, batching=False)) as server:
+        results = [
+            server.submit(JobSpec(rank=3, tensor=t, seed=seed,
+                                  n_iter_max=3)).result(timeout=60.0)
+            for t, seed in ((big, 800), (small, 801))
+        ]
+    assert memfd_sends == [big.nbytes]
+    for (t, seed), result in zip(((big, 800), (small, 801)), results):
+        direct = cp_als(t, 3, n_iter_max=3, rng=seed)
+        assert_model_bits(result, direct.model, f"{dtype.__name__} seed={seed}")
+        assert result.fit == direct.final_fit
 
 
 def test_solo_ref_job_bit_identical(tmp_path):

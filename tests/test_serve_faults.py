@@ -15,6 +15,8 @@ The serving robustness contract (ISSUE acceptance, pinned here):
 
 from __future__ import annotations
 
+import gc
+import os
 import time
 
 import numpy as np
@@ -92,6 +94,58 @@ def test_sigkill_mid_job_fails_only_that_job_and_pool_respawns():
         # Exactly one job was hurt.
         assert stats["failed"] == 1
         assert stats["completed"] == 1
+
+
+def _parent_fds() -> list[str]:
+    gc.collect()  # finalizers of a reaped worker close its fds
+    targets = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(f"/proc/self/fd/{name}"))
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+    return targets
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/fd") and hasattr(os, "memfd_create")),
+    reason="needs /proc/self/fd and memfd",
+)
+def test_sigkill_mid_memfd_job_leaks_nothing(memfd_sends):
+    from repro.serve.worker import MEMFD_MIN_BYTES
+
+    rng = np.random.default_rng([SEED, 998])
+    big = DenseTensor(rng.standard_normal((64, 48, 48)))
+    assert big.nbytes >= MEMFD_MIN_BYTES
+    with JobServer(ServeConfig(workers=1)) as server:
+        fds_before = len(_parent_fds())
+        victim = server.submit(JobSpec(
+            rank=4, tensor=big, seed=1, n_iter_max=1_000_000, tol=0.0,
+        ))
+        wait_running(server, victim.job_id)
+        # Running means dispatched; wait for the worker to be computing.
+        end = time.monotonic() + 30.0
+        while victim.status().progress is None:
+            assert time.monotonic() < end, "memfd job never made progress"
+            time.sleep(0.005)
+        assert memfd_sends == [big.nbytes]
+        server._handles[0].kill()
+
+        assert victim.wait(timeout=30.0)
+        assert victim.status().state is JobState.FAILED
+        with pytest.raises(WorkerError):
+            victim.result()
+
+        survivor = server.submit(
+            JobSpec(rank=2, tensor=small_tensor(7), seed=7, n_iter_max=3)
+        )
+        assert survivor.result(timeout=30.0).iterations == 3
+        stats = server.stats()
+        assert (stats["failed"], stats["completed"]) == (1, 1)
+        assert stats["respawns"] == 1
+        fds_after = _parent_fds()
+        assert len(fds_after) == fds_before
+        assert not [t for t in fds_after if t.startswith("/memfd:")]
 
 
 def test_sigkill_with_other_workers_unaffected():
@@ -200,6 +254,27 @@ def test_thread_budget_rejected():
     assert err.field == "num_threads"
     assert err.requested == 1_000_000
     assert err.allowed >= 1
+
+
+def test_default_thread_count_resolved_at_admission():
+    # A num_threads=None job is charged, grouped and run at the package
+    # default thread count, the count a direct cp_als call would pick.
+    from repro.parallel.config import num_threads
+
+    with num_threads(2), JobServer(ServeConfig(
+        workers=1, paused=True, max_threads=4,
+    )) as server:
+        handle = server.submit(JobSpec(rank=2, tensor=small_tensor(8)))
+        job = server._jobs[handle.job_id]
+        assert job.spec.num_threads == 2
+        assert server._solo_payload(job)["num_threads"] == 2
+        handle.cancel()
+    with num_threads(2), JobServer(ServeConfig(
+        workers=1, paused=True, max_threads=1,
+    )) as server:
+        with pytest.raises(BudgetError) as excinfo:
+            server.submit(JobSpec(rank=2, tensor=small_tensor(8)))
+        assert (excinfo.value.requested, excinfo.value.allowed) == (2, 1)
 
 
 def test_arena_budget_rejected():

@@ -203,6 +203,33 @@ def test_cancel_running_job_lands_mid_load():
         assert queued.result(timeout=60.0).iterations == 2
 
 
+def test_finished_job_keeps_no_tensor_and_still_answers():
+    # A finished job drops its tensor (for C-order input, the admission
+    # copy) and its own Event; wait() and result() keep working, and a
+    # waiter that blocked before completion still wakes.
+    c_order = np.random.default_rng([SEED, 44]).standard_normal((5, 4, 3))
+    with JobServer(ServeConfig(workers=1, paused=True)) as server:
+        handle = server.submit(JobSpec(rank=2, tensor=c_order, seed=3,
+                                       n_iter_max=2))
+        job = server._jobs[handle.job_id]
+        assert job.tensor is not None and job.spec.tensor is not None
+        old_event = job.done
+        early: list = []
+        waiter = threading.Thread(
+            target=lambda: early.append(handle.result(timeout=60.0))
+        )
+        waiter.start()
+        server.resume()
+        waiter.join(timeout=60.0)
+        assert not waiter.is_alive()
+        assert old_event.is_set()
+        result = handle.result(timeout=0)
+        assert early == [result] and result.iterations == 2
+        assert handle.wait(timeout=0)
+        assert job.tensor is None and job.spec.tensor is None
+        assert job.done is not old_event
+
+
 def test_backpressure_sheds_past_depth_bound():
     depth = 8
     with JobServer(ServeConfig(workers=1, queue_depth=depth,
