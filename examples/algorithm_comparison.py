@@ -13,13 +13,10 @@ Run:  python examples/algorithm_comparison.py [N] [entries]
 
 import sys
 
-from repro.bench.timing import median_time
-from repro.core.dispatch import mttkrp
-from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
+from repro.bench.harness import run_mttkrp_point
 from repro.data.workloads import fig5_shape, scaled_shape
 from repro.tensor.generate import random_factors, random_tensor
 from repro.util import human_count, prod
-from repro.util.timing import PhaseTimer
 
 PHASES = ["reorder", "full_krp", "lr_krp", "gemm", "gemv", "reduce"]
 
@@ -42,36 +39,20 @@ def main() -> None:
     print("-" * len(header))
 
     for n in range(N):
-        algos = ["onestep"]
+        labels = ["onestep"]
         if 0 < n < N - 1:
-            algos.append("twostep")
-        algos += ["baseline", "gemm-lb"]
-        for algo in algos:
-            timer = PhaseTimer()
-            if algo == "gemm-lb":
-                scratch: dict = {}
-                seconds = median_time(
-                    lambda: mttkrp_gemm_lower_bound(
-                        X, U, n, num_threads=1, _scratch=scratch
-                    ),
-                    repeats=3,
-                )
-                mttkrp_gemm_lower_bound(
-                    X, U, n, num_threads=1, timers=timer, _scratch=scratch
-                )
-            else:
-                seconds = median_time(
-                    lambda: mttkrp(X, U, n, method=algo, num_threads=1),
-                    repeats=3,
-                )
-                mttkrp(X, U, n, method=algo, num_threads=1, timers=timer)
-            snap = timer.snapshot()
+            labels.append("twostep")
+        labels += ["baseline", "gemm-lb"]
+        for label in labels:
+            # Median of 3 timed runs plus one traced run for the phases.
+            algo = "gemm-baseline" if label == "gemm-lb" else label
+            point = run_mttkrp_point(X, U, n, algo, 1, repeats=3)
             cells = "  ".join(
-                f"{snap.get(p, 0.0):9.4f}" if p in snap
+                f"{point.phases[p]:9.4f}" if p in point.phases
                 else f"{'-':>9}"
                 for p in PHASES
             )
-            print(f"{n:>4}  {algo:13}  {seconds:10.4f}  {cells}")
+            print(f"{n:>4}  {label:13}  {point.seconds:10.4f}  {cells}")
         print()
 
     print("reading the table:")

@@ -47,7 +47,6 @@ from repro.parallel.config import resolve_threads
 from repro.parallel.pool import get_pool
 from repro.parallel.reduction import allocate_shared
 from repro.tensor.layout import mode_products
-from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_mode
 
 __all__ = [
@@ -129,7 +128,6 @@ def mttkrp_batched(
     n: int,
     method: str = "auto",
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Mode-``n`` MTTKRP for every item of a batch in one call.
@@ -151,12 +149,12 @@ def mttkrp_batched(
         Worker count; workers split the **batch axis** into contiguous
         blocks (items are independent, so no reduction is needed and
         any split is bit-identical).
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer`
-        (``"full_krp"`` / ``"gemm"`` phases).
     **kwargs:
         Forwarded to the selected lane (``workspace=``, ``slot=``,
         ``cache_bytes=``).
+
+    Traced phases (:mod:`repro.obs` spans) are ``"full_krp"`` and
+    ``"gemm"``, one pair per chunk (stacked lane) or item (loop lane).
 
     Returns
     -------
@@ -197,25 +195,24 @@ def mttkrp_batched(
 
     tracer = get_tracer()
     if not tracer.enabled:
-        return _run(batch, factors, n, method, num_threads, timers, kwargs)
+        return _run(batch, factors, n, method, num_threads, kwargs)
     with tracer.span(
         f"batch.mttkrp.{method}", mode=n, batch=batch.batch,
         shape=list(batch.shape), autotuned=autotuned,
     ) as span:
-        out = _run(batch, factors, n, method, num_threads, timers, kwargs)
+        out = _run(batch, factors, n, method, num_threads, kwargs)
         span.args["rank"] = int(out.shape[-1])
         return out
 
 
-def _run(batch, factors, n, method, num_threads, timers, kwargs):
+def _run(batch, factors, n, method, num_threads, kwargs):
     if method == "batched":
         return mttkrp_batched_stacked(
-            batch, factors, n, num_threads=num_threads, timers=timers,
-            **kwargs,
+            batch, factors, n, num_threads=num_threads, **kwargs
         )
     assert method == "batched-loop"
     return mttkrp_batched_loop(
-        batch, factors, n, num_threads=num_threads, timers=timers, **kwargs
+        batch, factors, n, num_threads=num_threads, **kwargs
     )
 
 
@@ -293,7 +290,6 @@ def _stacked_chunk(flat, shape, n, ops, b0, b1, out, pan, prod):
 
     ``out``/``pan``/``prod`` are the chunk-sized views; ``prod`` is the
     pre-reduction ``(bc, I^R_n, I_n, C)`` buffer (internal modes only).
-    Returns (krp seconds, gemm seconds).
     """
     bc = b1 - b0
     t0 = _clock()
@@ -313,7 +309,7 @@ def _stacked_chunk(flat, shape, n, ops, b0, b1, out, pan, prod):
         K4 = pan.reshape(bc, p.right, p.left, pan.shape[-1])
         np.matmul(X4[b0:b1], K4, out=prod)
         np.sum(prod, axis=1, out=out)
-    return t1 - t0, _clock() - t1
+    _record_phases(t0, t1)
 
 
 def _loop_item(flat, shape, n, ops, b, out2, pan, prod):
@@ -333,7 +329,16 @@ def _loop_item(flat, shape, n, ops, b, out2, pan, prod):
         K3 = pan.reshape(p.right, p.left, pan.shape[-1])
         np.matmul(X3, K3, out=prod)
         np.sum(prod, axis=0, out=out2)
-    return t1 - t0, _clock() - t1
+    _record_phases(t0, t1)
+
+
+def _record_phases(t0: float, t1: float) -> None:
+    """Trace a ``full_krp`` span over ``[t0, t1)`` and a ``gemm`` span
+    from ``t1`` to now, on the calling thread, when tracing is on."""
+    tr = get_tracer()
+    if tr.enabled:
+        tr.record("full_krp", t0, t1)
+        tr.record("gemm", t1, _clock())
 
 
 # --------------------------------------------------------------------- #
@@ -353,24 +358,16 @@ def _k_batched_stacked(
     out: np.ndarray,
     panel: np.ndarray,
     prod: np.ndarray | None,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
 ) -> None:
-    tk = 0.0
-    tg = 0.0
     pan = panel[worker]
     pr = None if prod is None else prod[worker]
     for b0 in range(start, stop, chunk):
         b1 = min(b0 + chunk, stop)
         bc = b1 - b0
-        k, g = _stacked_chunk(
+        _stacked_chunk(
             flat, shape, n, ops, b0, b1, out[b0:b1], pan[:bc],
             None if pr is None else pr[:bc],
         )
-        tk += k
-        tg += g
-    krp_seconds[worker] = tk
-    gemm_seconds[worker] = tg
 
 
 def _k_batched_loop(
@@ -384,19 +381,11 @@ def _k_batched_loop(
     out: np.ndarray,
     panel: np.ndarray,
     prod: np.ndarray | None,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
 ) -> None:
-    tk = 0.0
-    tg = 0.0
     pan = panel[worker]
     pr = None if prod is None else prod[worker]
     for b in range(start, stop):
-        k, g = _loop_item(flat, shape, n, ops, b, out[b], pan, pr)
-        tk += k
-        tg += g
-    krp_seconds[worker] = tk
-    gemm_seconds[worker] = tg
+        _loop_item(flat, shape, n, ops, b, out[b], pan, pr)
 
 
 # --------------------------------------------------------------------- #
@@ -409,7 +398,6 @@ def mttkrp_batched_stacked(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     workspace=None,
     slot: str = "batch",
     cache_bytes: float | None = None,
@@ -417,7 +405,6 @@ def mttkrp_batched_stacked(
     """The stacked lane: chunked panels + one batched GEMM per chunk."""
     n, rank = _validate(batch, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     record_mttkrp_cost(
         tr, batch.shape, n, rank, "batched", T, cache_bytes=cache_bytes,
@@ -450,18 +437,10 @@ def mttkrp_batched_stacked(
             )
             if internal else None
         )
-        tk = tg = 0.0
-        for b0 in range(0, B, plan.chunk):
-            b1 = min(b0 + plan.chunk, B)
-            bc = b1 - b0
-            k, g = _stacked_chunk(
-                flat, batch.shape, n, ops, b0, b1, out[b0:b1], pan[:bc],
-                None if prod is None else prod[:bc],
-            )
-            tk += k
-            tg += g
-        t.add("full_krp", tk)
-        t.add("gemm", tg)
+        _k_batched_stacked(
+            0, 0, B, flat, batch.shape, n, ops, plan.chunk, out, pan[None],
+            None if prod is None else prod[None],
+        )
         tr.add_counter("gemm_calls", plan.num_chunks)
         return out
 
@@ -478,18 +457,14 @@ def mttkrp_batched_stacked(
         )
         if internal else None
     )
-    krp_seconds = _shared(workspace, f"{slot}.krp_seconds", (T,))
-    gemm_seconds = _shared(workspace, f"{slot}.gemm_seconds", (T,))
     pool.parallel_for(
         lambda w, lo, hi: _k_batched_stacked(
             w, lo, hi, flat, batch.shape, n, ops, plan.chunk, out, panel,
-            prod, krp_seconds, gemm_seconds,
+            prod,
         ),
         B,
         label="batch.mttkrp.stacked",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", plan.num_chunks)
     return out
 
@@ -499,7 +474,6 @@ def mttkrp_batched_loop(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     workspace=None,
     slot: str = "batch",
     cache_bytes: float | None = None,
@@ -513,7 +487,6 @@ def mttkrp_batched_loop(
     """
     n, rank = _validate(batch, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     record_mttkrp_cost(
         tr, batch.shape, n, rank, "batched", T, cache_bytes=cache_bytes,
@@ -541,13 +514,10 @@ def mttkrp_batched_loop(
             )
             if internal else None
         )
-        tk = tg = 0.0
-        for b in range(B):
-            k, g = _loop_item(flat, batch.shape, n, ops, b, out[b], pan, prod)
-            tk += k
-            tg += g
-        t.add("full_krp", tk)
-        t.add("gemm", tg)
+        _k_batched_loop(
+            0, 0, B, flat, batch.shape, n, ops, out, pan[None],
+            None if prod is None else prod[None],
+        )
         tr.add_counter("gemm_calls", B)
         return out
 
@@ -560,17 +530,12 @@ def mttkrp_batched_loop(
         )
         if internal else None
     )
-    krp_seconds = _shared(workspace, f"{slot}.krp_seconds", (T,))
-    gemm_seconds = _shared(workspace, f"{slot}.gemm_seconds", (T,))
     pool.parallel_for(
         lambda w, lo, hi: _k_batched_loop(
-            w, lo, hi, flat, batch.shape, n, ops, out, panel, prod,
-            krp_seconds, gemm_seconds,
+            w, lo, hi, flat, batch.shape, n, ops, out, panel, prod
         ),
         B,
         label="batch.mttkrp.loop",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", B)
     return out

@@ -13,7 +13,7 @@
 * :mod:`~repro.bench.cli` — the ``repro-bench`` CLI (also
   ``python -m repro.bench``): ``list`` / ``run`` / ``trend``;
 * :mod:`~repro.bench.timing` — robust wall timing (median-of-k, raw
-  samples) and the :class:`~repro.util.timing.PhaseTimer` re-export;
+  samples);
 * :mod:`~repro.bench.stream` — the STREAM scale benchmark of Figure 4;
 * :mod:`~repro.bench.harness` — measured experiment runners (KRP, MTTKRP,
   CP-ALS) producing structured points with timing stats and obs counters;
@@ -51,12 +51,11 @@ from repro.bench.schema import (
     write_results,
 )
 from repro.bench.stream import stream_scale
-from repro.bench.timing import PhaseTimer, median_time, time_samples
+from repro.bench.timing import median_time, time_samples
 
 __all__ = [
     "median_time",
     "time_samples",
-    "PhaseTimer",
     "stream_scale",
     "KRPPoint",
     "MTTKRPPoint",

@@ -19,6 +19,9 @@ Three layers:
   committed baselines are comparable to the current host;
 * :func:`provenance_header` — a ``#``-commented text header stamped onto
   ``results/fig*.txt`` exports so the text tables stop being context-free.
+
+:func:`source_lines` counts the package's Python lines, which the
+registry records in every run's context next to the timings.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "host_class_of",
     "host_fingerprint",
     "provenance_header",
+    "source_lines",
 ]
 
 
@@ -106,6 +110,23 @@ def host_fingerprint(repo_dir: str | None = None) -> dict:
         "git_rev": rev,
         "git_dirty": dirty,
     }
+
+
+def source_lines() -> int:
+    """Newline count over every ``.py`` file under the ``repro`` package.
+
+    The same number as ``find src/repro -name '*.py' | xargs cat | wc -l``:
+    the code-size figure tracked next to the bench numbers, so a change
+    that deletes code shows up beside the timings it kept.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    total = 0
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def host_class_of(host: dict) -> str:

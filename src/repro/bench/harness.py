@@ -17,7 +17,8 @@ Since the registry refactor every point carries, beyond the headline
   per-region load imbalance captured by running one instrumented
   repetition under a private :func:`repro.obs.capture` tracer (the
   measured repetitions themselves stay untraced, so instrumentation
-  cannot skew the timings).
+  cannot skew the timings).  MTTKRP points also take their Figure 6/8
+  ``phases`` from that trace (:func:`repro.obs.phase_totals`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.reference.tensor_toolbox import cp_als_ttb
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_factors
 from repro.util import prod
-from repro.util.timing import PhaseTimer
 
 __all__ = [
     "KRPPoint",
@@ -64,9 +64,14 @@ def _stats_from_samples(samples: Sequence[float]) -> dict:
 
 def _captured_counters(fn: Callable[[], object]) -> dict[str, float]:
     """Counters from one instrumented invocation of ``fn``."""
+    return obs.counters_snapshot(_captured_trace(fn))
+
+
+def _captured_trace(fn: Callable[[], object]) -> obs.Tracer:
+    """The trace of one instrumented invocation of ``fn``."""
     with obs.capture() as tracer:
         fn()
-    return obs.counters_snapshot(tracer)
+    return tracer
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,8 @@ def run_mttkrp_point(
 ) -> MTTKRPPoint:
     """Measure one MTTKRP configuration (Figure 5 protocol: median of k).
 
-    The phase breakdown and obs counters of one extra instrumented
-    repetition are attached (Figure 6/8); the timed repetitions run
+    The phase breakdown (Figure 6/8) and obs counters of one extra
+    instrumented repetition are attached; the timed repetitions run
     untraced.
     """
     C = np.asarray(factors[0]).shape[1]
@@ -183,12 +188,6 @@ def run_mttkrp_point(
             mttkrp_gemm_lower_bound(
                 tensor, factors, mode, num_threads=threads, _scratch=scratch
             )
-
-        def instrumented(timer: PhaseTimer) -> None:
-            mttkrp_gemm_lower_bound(
-                tensor, factors, mode, num_threads=threads,
-                timers=timer, _scratch=scratch,
-            )
     else:
 
         def kernel() -> None:
@@ -196,15 +195,8 @@ def run_mttkrp_point(
                 tensor, factors, mode, method=algorithm, num_threads=threads
             )
 
-        def instrumented(timer: PhaseTimer) -> None:
-            mttkrp(
-                tensor, factors, mode, method=algorithm,
-                num_threads=threads, timers=timer,
-            )
-
     samples = time_samples(kernel, repeats=repeats)
-    timer = PhaseTimer()
-    counters = _captured_counters(lambda: instrumented(timer))
+    tracer = _captured_trace(kernel)
     return MTTKRPPoint(
         algorithm=algorithm,
         shape=tensor.shape,
@@ -212,9 +204,9 @@ def run_mttkrp_point(
         C=int(C),
         threads=int(threads),
         seconds=float(np.median(samples)),
-        phases=timer.snapshot(),
+        phases=obs.phase_totals(tracer),
         stats=_stats_from_samples(samples),
-        counters=counters,
+        counters=obs.counters_snapshot(tracer),
     )
 
 

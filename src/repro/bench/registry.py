@@ -32,6 +32,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import repro.obs as obs
+from repro.bench.env import source_lines
 from repro.bench.schema import new_record, timing_from_stats, validate_record
 from repro.bench.timing import time_samples
 
@@ -137,7 +138,8 @@ def run_benchmark(
     """Run one registered benchmark; returns its normalized records.
 
     Every record gets the shared run context (source, scale, threads,
-    repeats, rng) merged into ``context`` and is schema-validated before
+    repeats, rng, and ``src_lines``, the package's Python line count)
+    merged into ``context`` and is schema-validated before
     being returned — a runner that produces a malformed record fails
     here, not at trend time.
     """
@@ -152,6 +154,7 @@ def run_benchmark(
         "threads": list(threads),
         "repeats": repeats,
         "rng": rng,
+        "src_lines": source_lines(),
     }
     for record in records:
         if record.get("benchmark") != name:

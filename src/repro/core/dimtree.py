@@ -57,6 +57,7 @@ from.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from time import perf_counter as _clock
 
 import numpy as np
 
@@ -70,7 +71,6 @@ from repro.parallel.reduction import parallel_reduce
 from repro.parallel.workspace import Workspace
 from repro.tensor.dense import DenseTensor
 from repro.util import prod
-from repro.util.timing import NULL_TIMER, PhaseTimer, wall_time as _clock
 from repro.util.validation import check_factor_matrices
 
 __all__ = [
@@ -88,7 +88,6 @@ def mttkrp_dimtree(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     pool: ThreadPool | None = None,
     workspace: "Workspace | None" = None,
     slot: str | None = None,
@@ -123,22 +122,20 @@ def mttkrp_dimtree(
         slot = f"dimtree.mode[{n}]"
     if n < m:
         node = left_partial(
-            tensor, factors, m, num_threads=num_threads, timers=timers,
-            pool=pool, workspace=workspace,
+            tensor, factors, m, num_threads=num_threads, pool=pool,
+            workspace=workspace,
         )
         return node_mttkrp(
-            node, factors[:m], keep=n, num_threads=num_threads,
-            timers=timers, pool=pool, workspace=workspace,
-            slot=slot,
+            node, factors[:m], keep=n, num_threads=num_threads, pool=pool,
+            workspace=workspace, slot=slot,
         )
     node = right_partial(
-        tensor, factors, m, num_threads=num_threads, timers=timers,
-        pool=pool, workspace=workspace,
+        tensor, factors, m, num_threads=num_threads, pool=pool,
+        workspace=workspace,
     )
     return node_mttkrp(
-        node, factors[m:], keep=n - m, num_threads=num_threads,
-        timers=timers, pool=pool, workspace=workspace,
-        slot=slot,
+        node, factors[m:], keep=n - m, num_threads=num_threads, pool=pool,
+        workspace=workspace, slot=slot,
     )
 
 
@@ -154,17 +151,16 @@ def split_point(N: int) -> int:
     return max(min((N + 1) // 2, N - 1), 1)
 
 
-def _partial_setup(tensor, factors, m, timers, workspace, pool, num_threads):
+def _partial_setup(tensor, factors, m, workspace, pool, num_threads):
     N = tensor.ndim
     C = check_factor_matrices(list(factors), tensor.shape)
     if not 1 <= m <= N - 1:
         raise ValueError(f"split m={m} out of range for order {N}")
-    t = timers if timers is not None else NULL_TIMER
     T = resolve_threads(num_threads)
     if pool is None and T > 1:
         pool = get_pool(T)
     ws = workspace if workspace is not None else Workspace()
-    return N, C, t, T, pool, ws
+    return N, C, T, pool, ws
 
 
 def left_partial(
@@ -172,7 +168,6 @@ def left_partial(
     factors: Sequence[np.ndarray],
     m: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
 ) -> DenseTensor:
@@ -189,21 +184,21 @@ def left_partial(
     nothing.  The returned node's flat data *is* the workspace buffer —
     valid until the next ``left_partial`` call on the same workspace.
     """
-    N, C, t, T, pool, ws = _partial_setup(
-        tensor, factors, m, timers, workspace, pool, num_threads
+    N, C, T, pool, ws = _partial_setup(
+        tensor, factors, m, workspace, pool, num_threads
     )
     tr = get_tracer()
     ops = [np.asarray(factors[k]) for k in range(N - 1, m - 1, -1)]
     rows = prod(tensor.shape[m:])
     dt_k = np.result_type(*ops)
-    with t.phase("lr_krp"):
+    with tr.span("lr_krp"):
         KR = ws.buffer("dimtree.left.krp", (rows, C), dt_k)
         khatri_rao_parallel(ops, num_threads=T, out=KR, pool=pool)
     size_l = prod(tensor.shape[:m])
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.left.node", (C * size_l,), dt)
     node2d = node.reshape(C, size_l)
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="left") as sp:
+    with blas_threads(T), tr.span("gemm", side="left") as sp:
         # Transposed GEMM so the C-contiguous output is the natural layout
         # of the node (same trick as mttkrp_twostep).
         np.matmul(KR.T, tensor.unfold_front(m - 1).T, out=node2d)
@@ -218,7 +213,6 @@ def right_partial(
     factors: Sequence[np.ndarray],
     m: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
 ) -> DenseTensor:
@@ -228,21 +222,21 @@ def right_partial(
     layout.  One GEMM on the row-major ``X_(0:m-1)^T`` view (Figure 3c);
     KRP/workspace semantics as in :func:`left_partial`.
     """
-    N, C, t, T, pool, ws = _partial_setup(
-        tensor, factors, m, timers, workspace, pool, num_threads
+    N, C, T, pool, ws = _partial_setup(
+        tensor, factors, m, workspace, pool, num_threads
     )
     tr = get_tracer()
     ops = [np.asarray(factors[k]) for k in range(m - 1, -1, -1)]
     rows = prod(tensor.shape[:m])
     dt_k = np.result_type(*ops)
-    with t.phase("lr_krp"):
+    with tr.span("lr_krp"):
         KL = ws.buffer("dimtree.right.krp", (rows, C), dt_k)
         khatri_rao_parallel(ops, num_threads=T, out=KL, pool=pool)
     size_r = prod(tensor.shape[m:])
     dt = np.result_type(dt_k, tensor.dtype)
     node = ws.buffer("dimtree.right.node", (C * size_r,), dt)
     node2d = node.reshape(C, size_r)
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm", side="right") as sp:
+    with blas_threads(T), tr.span("gemm", side="right") as sp:
         np.matmul(KL.T, tensor.unfold_front(m - 1), out=node2d)
         tr.add_counter("gemm_calls", 1)
         if tr.enabled:
@@ -304,7 +298,7 @@ def _kron_panel_T(mats, C, ws, name):
 
 
 def _k_node_right(
-    worker, start, stop, node_buf, C, DL, d_keep, DR, KRT, priv, gemm_seconds
+    worker, start, stop, node_buf, C, DL, d_keep, DR, KRT, priv
 ) -> None:
     """Region kernel: right contraction of DR-blocks ``[start, stop)``.
 
@@ -324,15 +318,13 @@ def _k_node_right(
     np.matmul(
         S[..., start:stop], KRT[:, None, start:stop, None], out=priv[worker]
     )
-    t1 = _clock()
-    gemm_seconds[worker] = t1 - t0
     tr = get_tracer()
     if tr.enabled:
-        tr.record("node_gemm", t0, t1, worker=worker)
+        tr.record("node_gemm", t0, _clock(), worker=worker)
 
 
 def _k_node_left(
-    worker, start, stop, node_buf, C, DL, d_keep, KLT, priv, gemm_seconds
+    worker, start, stop, node_buf, C, DL, d_keep, KLT, priv
 ) -> None:
     """Region kernel: left contraction of DL-blocks ``[start, stop)``.
 
@@ -348,11 +340,9 @@ def _k_node_left(
     np.matmul(
         KLT[:, None, start:stop], S[:, start:stop, :], out=priv[worker]
     )
-    t1 = _clock()
-    gemm_seconds[worker] = t1 - t0
     tr = get_tracer()
     if tr.enabled:
-        tr.record("node_gemm", t0, t1, worker=worker)
+        tr.record("node_gemm", t0, _clock(), worker=worker)
 
 
 def node_mttkrp(
@@ -360,7 +350,6 @@ def node_mttkrp(
     factors: Sequence[np.ndarray],
     keep: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     pool: ThreadPool | None = None,
     workspace: Workspace | None = None,
     slot: str = "node",
@@ -390,9 +379,6 @@ def node_mttkrp(
     num_threads:
         Worker count for the block-parallel contraction; defaults to the
         package-wide setting.
-    timers:
-        Optional phase timer.  Phases: ``"node_krp"`` (Kronecker panels),
-        ``"node_gemm"`` (batched contractions), ``"node_reduce"``.
     pool:
         Explicit pool; defaults to the shared
         :func:`~repro.parallel.pool.get_pool` team when ``num_threads > 1``.
@@ -407,12 +393,15 @@ def node_mttkrp(
         distinct slots so each mode's buffers stay cached across
         iterations.
 
+    Traced phases (:mod:`repro.obs` spans, inside a ``node_mttkrp``
+    span): ``"node_krp"`` (Kronecker panels), ``"node_gemm"`` (batched
+    contractions) and ``"node_reduce"``.
+
     Returns
     -------
     numpy.ndarray
         The ``d_keep x C`` MTTKRP output.
     """
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     k, C = _validate_node(node, factors, keep)
     T = resolve_threads(num_threads)
@@ -430,7 +419,7 @@ def node_mttkrp(
     with tr.span(
         "node_mttkrp", keep=keep, rank=C, shape=list(node.shape)
     ) as sp:
-        with t.phase("node_krp"):
+        with tr.span("node_krp"):
             KRT = _kron_panel_T(right, C, ws, f"{slot}.krpT_right") if right else None
             KLT = _kron_panel_T(left, C, ws, f"{slot}.krpT_left") if left else None
         buf = node.data
@@ -442,31 +431,27 @@ def node_mttkrp(
         use_parallel = T > 1 and pool is not None and (right or left)
         if use_parallel and right:
             priv = ws.private(f"{slot}.priv", T, (C, DL, d_keep, 1), dt_r)
-            clk = ws.private(f"{slot}.clk", T, (), np.float64)
             pool.parallel_for(
                 lambda w, lo, hi: _k_node_right(
-                    w, lo, hi, buf, C, DL, d_keep, DR, KRT, priv, clk
+                    w, lo, hi, buf, C, DL, d_keep, DR, KRT, priv
                 ),
                 DR,
                 label="dimtree.node",
             )
-            t.add("node_gemm", float(clk.max()))
             tr.add_counter("gemm_calls", T)
-            with t.phase("node_reduce"), tr.span("node_reduce"):
+            with tr.span("node_reduce"):
                 tmp = parallel_reduce(priv, pool)[..., 0]
         elif use_parallel:  # right empty, left present: contract DL blocks
             priv = ws.private(f"{slot}.priv", T, (C, 1, d_keep), dt_o)
-            clk = ws.private(f"{slot}.clk", T, (), np.float64)
             pool.parallel_for(
                 lambda w, lo, hi: _k_node_left(
-                    w, lo, hi, buf, C, DL, d_keep, KLT, priv, clk
+                    w, lo, hi, buf, C, DL, d_keep, KLT, priv
                 ),
                 DL,
                 label="dimtree.node",
             )
-            t.add("node_gemm", float(clk.max()))
             tr.add_counter("gemm_calls", T)
-            with t.phase("node_reduce"), tr.span("node_reduce"):
+            with tr.span("node_reduce"):
                 out_c = parallel_reduce(priv, pool)[:, 0, :]
             out = ws.buffer(f"{slot}.out", (d_keep, C), node.dtype)
             np.copyto(out, out_c.T)
@@ -474,7 +459,7 @@ def node_mttkrp(
         elif right:
             S = buf.reshape((C, DR, d_keep, DL)).transpose(0, 3, 2, 1)
             tmp4 = ws.buffer(f"{slot}.tmp", (C, DL, d_keep, 1), dt_r)
-            with t.phase("node_gemm"):
+            with tr.span("node_gemm"):
                 np.matmul(S, KRT[:, None, :, None], out=tmp4)
                 tr.add_counter("gemm_calls", 1)
             tmp = tmp4[..., 0]
@@ -483,7 +468,7 @@ def node_mttkrp(
 
         if left:
             oc = ws.buffer(f"{slot}.oc", (C, 1, d_keep), dt_o)
-            with t.phase("node_gemm"):
+            with tr.span("node_gemm"):
                 np.matmul(KLT[:, None, :], tmp, out=oc)
                 tr.add_counter("gemm_calls", 1)
             out_c = oc[:, 0, :]
@@ -498,7 +483,6 @@ def node_mttkrp_columnwise(
     node: DenseTensor,
     factors: Sequence[np.ndarray],
     keep: int,
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Reference node MTTKRP: one kron+GEMV chain per rank column.
 
@@ -515,7 +499,6 @@ def node_mttkrp_columnwise(
 
     Returns the ``d_keep x C`` MTTKRP output.
     """
-    t = timers if timers is not None else NULL_TIMER
     k, C = _validate_node(node, factors, keep)
     dims = node.shape[:-1]
     d_keep = dims[keep]
@@ -525,7 +508,7 @@ def node_mttkrp_columnwise(
     out = np.empty((d_keep, C), dtype=node.dtype, order="C")
     left = [np.asarray(factors[j]) for j in range(keep)]
     right = [np.asarray(factors[j]) for j in range(keep + 1, k)]
-    with t.phase("gemv"):
+    with get_tracer().span("gemv"):
         for c in range(C):
             slab = flat[:, c].reshape((DL, d_keep, DR), order="F")
             tmp = slab  # (DL, d_keep, DR)

@@ -27,7 +27,6 @@ from repro.core.mttkrp_twostep import mttkrp_twostep
 from repro.obs import get_tracer
 from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
-from repro.util.timing import PhaseTimer
 from repro.util.validation import check_mode
 
 __all__ = ["mttkrp", "MTTKRP_METHODS", "KERNELS", "KernelSpec"]
@@ -51,7 +50,7 @@ class KernelSpec:
         The ``method=`` name and the ``mttkrp.<name>`` span name.
     entry:
         The kernel, called as ``entry(tensor, factors, n,
-        num_threads=..., timers=..., **kwargs)``.
+        num_threads=..., **kwargs)``.
     eligible:
         ``eligible(shape, n)`` — whether the kernel is defined for mode
         ``n``.  The tuner measures only eligible kernels; dispatch runs
@@ -101,14 +100,10 @@ class KernelSpec:
         factors: Sequence[np.ndarray],
         n: int,
         num_threads: int | None = None,
-        timers: PhaseTimer | None = None,
         **kwargs,
     ) -> np.ndarray:
         """Call the kernel and record its analytic cost on the open span."""
-        out = self.entry(
-            tensor, factors, n, num_threads=num_threads, timers=timers,
-            **kwargs,
-        )
+        out = self.entry(tensor, factors, n, num_threads=num_threads, **kwargs)
         record_mttkrp_cost(
             get_tracer(), tensor.shape, n, int(out.shape[1]),
             self.cost_kind, resolve_threads(num_threads),
@@ -116,9 +111,9 @@ class KernelSpec:
         return out
 
 
-def _onestep_sequential(tensor, factors, n, num_threads=None, timers=None):
+def _onestep_sequential(tensor, factors, n, num_threads=None):
     # Algorithm 2 is sequential by definition: the thread count is unused.
-    return mttkrp_onestep_sequential(tensor, factors, n, timers=timers)
+    return mttkrp_onestep_sequential(tensor, factors, n)
 
 
 KERNELS: dict[str, KernelSpec] = {
@@ -172,7 +167,6 @@ def mttkrp(
     n: int,
     method: str = "auto",
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for mode ``n``.
@@ -216,8 +210,6 @@ def mttkrp(
         The non-policy names are the rows of :data:`KERNELS`.
     num_threads:
         Thread count; defaults to the package-wide setting.
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer` for breakdowns.
     **kwargs:
         Forwarded to the selected implementation (e.g. ``side=`` for
         ``"twostep"``).
@@ -277,7 +269,7 @@ def mttkrp(
 
     tracer = get_tracer()
     if not tracer.enabled:
-        return spec.run(tensor, factors, n, num_threads, timers, **kwargs)
+        return spec.run(tensor, factors, n, num_threads, **kwargs)
     with tracer.span(
         f"mttkrp.{spec.name}", mode=n, shape=list(tensor.shape),
         autotuned=autotuned,
@@ -285,6 +277,6 @@ def mttkrp(
         # The row's runner attaches the analytic flop/byte counters
         # and the lower bound to this open span; the dimtree path's
         # phases carry their flops/bytes on the nested gemm/node spans.
-        out = spec.run(tensor, factors, n, num_threads, timers, **kwargs)
+        out = spec.run(tensor, factors, n, num_threads, **kwargs)
         span.args["rank"] = int(out.shape[1])
         return out

@@ -29,7 +29,6 @@ from repro.parallel.blas import blas_threads
 from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.matricize import unfold_explicit
-from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["mttkrp_baseline", "mttkrp_gemm_lower_bound"]
@@ -40,7 +39,6 @@ def mttkrp_baseline(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Straightforward MTTKRP: explicit reorder + explicit KRP + one GEMM.
 
@@ -52,9 +50,9 @@ def mttkrp_baseline(
         As in :func:`repro.core.mttkrp_onestep.mttkrp_onestep`.
     num_threads:
         BLAS thread budget.
-    timers:
-        Optional phase timer; phases are ``"reorder"``, ``"full_krp"`` and
-        ``"gemm"``.
+
+    Traced phases (:mod:`repro.obs` spans) are ``"reorder"``,
+    ``"full_krp"`` and ``"gemm"``.
 
     Returns
     -------
@@ -68,14 +66,13 @@ def mttkrp_baseline(
     n = check_mode(n, tensor.ndim)
     check_factor_matrices(list(factors), tensor.shape)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
-    with t.phase("reorder"), tr.span("reorder"):
+    with tr.span("reorder"):
         # The memory-bound entry reordering the paper's algorithms avoid.
         Xn = unfold_explicit(tensor, n, order="F")
-    with t.phase("full_krp"), tr.span("full_krp"):
+    with tr.span("full_krp"):
         K = khatri_rao(krp_operands(factors, n))
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm"):
+    with blas_threads(T), tr.span("gemm"):
         tr.add_counter("gemm_calls", 1)
         return Xn @ K
 
@@ -85,7 +82,6 @@ def mttkrp_gemm_lower_bound(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     _scratch: dict | None = None,
 ) -> np.ndarray:
     """The paper's "Baseline" benchmark: one DGEMM of MTTKRP dimensions.
@@ -114,7 +110,6 @@ def mttkrp_gemm_lower_bound(
     n = check_mode(n, tensor.ndim)
     rank = check_factor_matrices(list(factors), tensor.shape)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     rows = tensor.shape[n]
     inner = tensor.size // rows
@@ -129,7 +124,7 @@ def mttkrp_gemm_lower_bound(
         B = np.ones((inner, rank), order="F")
         if _scratch is not None:
             _scratch.update(key=key, A=A, B=B)
-    with blas_threads(T), t.phase("gemm"), tr.span("gemm-lower-bound") as sp:
+    with blas_threads(T), tr.span("gemm") as sp:
         cost = gemm_lower_bound_cost(tensor.shape, n, rank)
         sp.add("flops", cost.flops)
         sp.add("bytes_read", sum(p.read_bytes for p in cost.phases))

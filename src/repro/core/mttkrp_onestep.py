@@ -33,6 +33,7 @@ kept as :func:`mttkrp_onestep_sequential` for completeness and testing.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from time import perf_counter as _clock
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from repro.parallel.pool import get_pool
 from repro.parallel.reduction import allocate_private, allocate_shared, parallel_reduce
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
-from repro.util.timing import NULL_TIMER, PhaseTimer, wall_time as _clock
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["mttkrp_onestep", "mttkrp_onestep_sequential", "krp_operands"]
@@ -82,7 +82,6 @@ def mttkrp_onestep_sequential(
     tensor: DenseTensor,
     factors: Sequence[np.ndarray],
     n: int,
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Algorithm 2: sequential 1-step MTTKRP with an explicit full KRP.
 
@@ -95,9 +94,9 @@ def mttkrp_onestep_sequential(
         ignored by the math but must be present and well-shaped).
     n:
         Output mode.
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer`; phases are
-        ``"full_krp"`` and ``"gemm"``.
+
+    Traced phases (:mod:`repro.obs` spans) are ``"full_krp"`` and
+    ``"gemm"``.
 
     Returns
     -------
@@ -105,13 +104,12 @@ def mttkrp_onestep_sequential(
         The ``I_n x C`` MTTKRP result.
     """
     n, rank = _validate(tensor, factors, n)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
-    with t.phase("full_krp"), tr.span("full_krp"):
+    with tr.span("full_krp"):
         K = khatri_rao(krp_operands(factors, n))
     p = mode_products(tensor.shape, n)
     if n == 0:
-        with t.phase("gemm"), tr.span("gemm"):
+        with tr.span("gemm"):
             tr.add_counter("gemm_calls", 1)
             return tensor.unfold_mode0() @ K  # X_(0) is column-major
     M = np.zeros(
@@ -120,7 +118,7 @@ def mttkrp_onestep_sequential(
         order="C",
     )
     blocks = tensor.mode_blocks_view(n)  # (IRn, In, ILn), row-major blocks
-    with t.phase("gemm"), tr.span("gemm"):
+    with tr.span("gemm"):
         tr.add_counter("gemm_calls", p.right)
         for j in range(p.right):
             # Conformal partition: KRP row block j has height I^L_n.
@@ -133,7 +131,6 @@ def mttkrp_onestep(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Algorithm 3: parallel 1-step MTTKRP.
 
@@ -151,10 +148,11 @@ def mttkrp_onestep(
         Output mode.
     num_threads:
         Thread count ``T``; defaults to the package-wide setting.
-    timers:
-        Optional phase timer.  Phases: ``"full_krp"`` (external modes),
-        ``"lr_krp"`` (internal modes: left KRP + per-block right-KRP rows
-        and Hadamard broadcasts), ``"gemm"``, and ``"reduce"``.
+
+    Traced phases (:mod:`repro.obs` spans): ``"full_krp"`` (external
+    modes), ``"lr_krp"`` (internal modes: left KRP + per-block right-KRP
+    rows and Hadamard broadcasts), ``"gemm"``, and ``"reduce"``.  Inside
+    a parallel region each worker records its own phase spans.
 
     Returns
     -------
@@ -163,10 +161,9 @@ def mttkrp_onestep(
     """
     n, rank = _validate(tensor, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     if n == 0 or n == tensor.ndim - 1:
-        return _onestep_external(tensor, factors, n, rank, T, t)
-    return _onestep_internal(tensor, factors, n, rank, T, t)
+        return _onestep_external(tensor, factors, n, rank, T)
+    return _onestep_internal(tensor, factors, n, rank, T)
 
 
 def _k_external(
@@ -177,8 +174,6 @@ def _k_external(
     n: int,
     operands: list[np.ndarray],
     out: np.ndarray,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
 ) -> None:
     """Region kernel for Alg. 3 lines 2-9: one worker's column block.
 
@@ -192,13 +187,10 @@ def _k_external(
     Kt = krp_rows(operands, start, stop)
     t1 = _clock()
     np.matmul(Xn[:, start:stop], Kt, out=out[worker])
-    t2 = _clock()
-    krp_seconds[worker] = t1 - t0
-    gemm_seconds[worker] = t2 - t1
     tr = get_tracer()
     if tr.enabled:
         tr.record("full_krp", t0, t1, worker=worker)
-        tr.record("gemm", t1, t2, worker=worker)
+        tr.record("gemm", t1, _clock(), worker=worker)
 
 
 def _onestep_external(
@@ -207,7 +199,6 @@ def _onestep_external(
     n: int,
     rank: int,
     T: int,
-    t,
 ) -> np.ndarray:
     """External modes: parallelize over matricization columns (Alg. 3 l.2-9)."""
     p = mode_products(tensor.shape, n)
@@ -216,30 +207,21 @@ def _onestep_external(
 
     if T == 1:
         Xn = tensor.unfold_mode0() if n == 0 else tensor.unfold_last()
-        with t.phase("full_krp"), tr.span("full_krp"):
+        with tr.span("full_krp"):
             K = krp_rows(operands, 0, p.other)
-        with t.phase("gemm"), tr.span("gemm"):
+        with tr.span("gemm"):
             tr.add_counter("gemm_calls", 1)
             return Xn @ K
 
     pool = get_pool(T)
     out = allocate_private(T, (p.size, rank), dtype=tensor.dtype)
-    # Per-worker phase clocks: the wall-clock contribution of a phase inside
-    # a parallel region is its maximum across workers (the paper instruments
-    # its OpenMP regions the same way for Figure 6).
-    krp_seconds = allocate_shared((T,))
-    gemm_seconds = allocate_shared((T,))
     pool.parallel_for(
-        lambda w, lo, hi: _k_external(
-            w, lo, hi, tensor, n, operands, out, krp_seconds, gemm_seconds
-        ),
+        lambda w, lo, hi: _k_external(w, lo, hi, tensor, n, operands, out),
         p.other,
         label="mttkrp.onestep.external",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", T)
-    with t.phase("reduce"), tr.span("reduce"):
+    with tr.span("reduce"):
         return parallel_reduce(out, pool).copy()
 
 
@@ -266,20 +248,17 @@ def _internal_range(
     Mt: np.ndarray,
     jstart: int,
     jstop: int,
-    tracer=None,
-) -> tuple[float, float, int]:
+) -> int:
     """Process matricization blocks ``[jstart, jstop)`` into ``Mt``.
 
-    Returns (krp seconds, gemm seconds, batched-GEMM call count) for the
-    breakdown figures and trace counters; when ``tracer`` is live, each
-    chunk's KRP and GEMM intervals are recorded as spans on the calling
-    (worker) thread.
+    Returns the batched-GEMM call count for the trace counters; when
+    tracing is on, each chunk's KRP and GEMM intervals are recorded as
+    spans on the calling (worker) thread.
     """
     rank = KL.shape[1]
     chunk = _internal_chunk(KL.shape[0], rank, jstop - jstart)
-    tk = tg = 0.0
     calls = 0
-    traced = tracer is not None and tracer.enabled
+    tr = get_tracer()
     for j0 in range(jstart, jstop, chunk):
         j1 = min(j0 + chunk, jstop)
         t0 = _clock()
@@ -291,14 +270,11 @@ def _internal_range(
         # One GEMM per block, issued as a strided batch:
         # (b, In, ILn) @ (b, ILn, C) -> (b, In, C), summed into Mt.
         Mt += np.matmul(blocks3[j0:j1], Kt).sum(axis=0)
-        t2 = _clock()
-        tk += t1 - t0
-        tg += t2 - t1
         calls += 1
-        if traced:
-            tracer.record("lr_krp", t0, t1, blocks=j1 - j0)
-            tracer.record("gemm", t1, t2, blocks=j1 - j0)
-    return tk, tg, calls
+        if tr.enabled:
+            tr.record("lr_krp", t0, t1, blocks=j1 - j0)
+            tr.record("gemm", t1, _clock(), blocks=j1 - j0)
+    return calls
 
 
 def _k_internal(
@@ -310,17 +286,12 @@ def _k_internal(
     right_ops: list[np.ndarray],
     KL: np.ndarray,
     out: np.ndarray,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
     gemm_calls: np.ndarray,
 ) -> None:
     """Region kernel for Alg. 3 lines 10-17: one worker's block range."""
     blocks3 = tensor.mode_blocks_view(n)  # (IRn, In, ILn)
-    krp_seconds[worker], gemm_seconds[worker], gemm_calls[worker] = (
-        _internal_range(
-            blocks3, right_ops, KL, out[worker], jstart, jstop,
-            tracer=get_tracer(),
-        )
+    gemm_calls[worker] = _internal_range(
+        blocks3, right_ops, KL, out[worker], jstart, jstop
     )
 
 
@@ -330,7 +301,6 @@ def _onestep_internal(
     n: int,
     rank: int,
     T: int,
-    t,
 ) -> np.ndarray:
     """Internal modes: parallelize over matricization blocks (Alg. 3 l.10-17)."""
     p = mode_products(tensor.shape, n)
@@ -339,37 +309,30 @@ def _onestep_internal(
     left_ops = [np.asarray(factors[k]) for k in range(n - 1, -1, -1)]
 
     if T == 1:
-        with t.phase("lr_krp"), tr.span("lr_krp"):
+        with tr.span("lr_krp"):
             KL = khatri_rao_parallel(left_ops, num_threads=T)
         M = np.zeros((p.size, rank), dtype=tensor.dtype)
-        tk, tg, calls = _internal_range(
-            tensor.mode_blocks_view(n), right_ops, KL, M, 0, p.right, tracer=tr
+        calls = _internal_range(
+            tensor.mode_blocks_view(n), right_ops, KL, M, 0, p.right
         )
-        t.add("lr_krp", tk)
-        t.add("gemm", tg)
         tr.add_counter("gemm_calls", calls)
         return M
 
     pool = get_pool(T)
-    with t.phase("lr_krp"), tr.span("lr_krp"):
+    with tr.span("lr_krp"):
         # Left partial KRP K_L = U_{n-1} krp ... krp U_0, formed in parallel
         # on the same pool.
         KL = khatri_rao_parallel(left_ops, num_threads=T, pool=pool)
 
     out = allocate_private(T, (p.size, rank), dtype=tensor.dtype)
-    krp_seconds = allocate_shared((T,))
-    gemm_seconds = allocate_shared((T,))
     gemm_calls = allocate_shared((T,), dtype=np.int64)
     pool.parallel_for(
         lambda w, lo, hi: _k_internal(
-            w, lo, hi, tensor, n, right_ops, KL, out,
-            krp_seconds, gemm_seconds, gemm_calls,
+            w, lo, hi, tensor, n, right_ops, KL, out, gemm_calls
         ),
         p.right,
         label="mttkrp.onestep.internal",
     )
-    t.add("lr_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", int(gemm_calls.sum()))
-    with t.phase("reduce"), tr.span("reduce"):
+    with tr.span("reduce"):
         return parallel_reduce(out, pool).copy()

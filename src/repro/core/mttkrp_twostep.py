@@ -43,7 +43,6 @@ from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
 from repro.tensor.ttv import multi_ttv
-from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["mttkrp_twostep", "choose_side"]
@@ -66,7 +65,6 @@ def mttkrp_twostep(
     n: int,
     num_threads: int | None = None,
     side: str = "auto",
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Algorithm 4: 2-step MTTKRP for an internal mode.
 
@@ -83,10 +81,10 @@ def mttkrp_twostep(
         setting.
     side:
         ``"auto"`` (paper rule), ``"left"``, or ``"right"``.
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer`; phases are
-        ``"lr_krp"`` (forming both partial KRPs), ``"gemm"`` (the partial
-        MTTKRP) and ``"gemv"`` (the multi-TTV).
+
+    Traced phases (:mod:`repro.obs` spans) are ``"lr_krp"`` (forming both
+    partial KRPs), ``"gemm"`` (the partial MTTKRP) and ``"gemv"`` (the
+    multi-TTV).
 
     Returns
     -------
@@ -108,11 +106,10 @@ def mttkrp_twostep(
     if side not in ("auto", "left", "right"):
         raise ValueError(f"side must be 'auto', 'left' or 'right', got {side!r}")
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     N = tensor.ndim
 
-    with t.phase("lr_krp"), tr.span("lr_krp"):
+    with tr.span("lr_krp"):
         # K_L = U_{n-1} krp ... krp U_0 (mode-0 index fastest);
         # K_R = U_{N-1} krp ... krp U_{n+1} (mode-(n+1) index fastest).
         KL = khatri_rao([np.asarray(factors[k]) for k in range(n - 1, -1, -1)])
@@ -126,7 +123,7 @@ def mttkrp_twostep(
         if side == "left":
             # Step 1 (Fig. 3c): L = X_(0:n-1)^T . K_L; the transpose view is
             # row-major, so this is a single well-shaped GEMM.
-            with t.phase("gemm"), tr.span("gemm", side="left"):
+            with tr.span("gemm", side="left"):
                 # Computed transposed (L^T = K_L^T . X_(0:n-1)) so the
                 # C-contiguous GEMM output *is* the natural layout of L —
                 # same BLAS call, no data movement afterwards.
@@ -136,7 +133,7 @@ def mttkrp_twostep(
             # natural layout (rows of L linearize modes n.., mode n fastest),
             # reinterpreted for free.
             L = DenseTensor(LmatT.ravel(), tensor.shape[n:] + (C,))
-            with t.phase("gemv"), tr.span("gemv", side="left"):
+            with tr.span("gemv", side="left"):
                 # Step 2 (Fig. 3d): contract trailing modes against K_R's
                 # columns, one GEMV per rank column.
                 tr.add_counter("gemv_calls", C)
@@ -146,13 +143,13 @@ def mttkrp_twostep(
                 )
         else:
             # Step 1 (Fig. 3a): R = X_(0:n) . K_R on the column-major view.
-            with t.phase("gemm"), tr.span("gemm", side="right"):
+            with tr.span("gemm", side="right"):
                 # Transposed form (R^T = K_R^T . X_(0:n)^T) for the same
                 # reason: the GEMM writes R directly in natural layout.
                 tr.add_counter("gemm_calls", 1)
                 RmatT = KR.T @ tensor.unfold_front(n).T
             R = DenseTensor(RmatT.ravel(), tensor.shape[: n + 1] + (C,))
-            with t.phase("gemv"), tr.span("gemv", side="right"):
+            with tr.span("gemv", side="right"):
                 # Step 2 (Fig. 3b): contract leading modes against K_L's
                 # columns.
                 tr.add_counter("gemv_calls", C)

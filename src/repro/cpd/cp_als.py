@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from repro.obs import get_tracer
 from repro.cpd.init import initialize_factors
 from repro.cpd.kruskal import KruskalTensor
 from repro.tensor.dense import DenseTensor
-from repro.util.timing import PhaseTimer, wall_time
 
 __all__ = ["cp_als", "CPALSResult"]
 
@@ -60,10 +60,10 @@ class CPALSResult:
     iterations:
         Number of iterations executed.
     iteration_times:
-        Wall-clock seconds per iteration (Figure 7's quantity).
-    timers:
-        Aggregated per-phase timings across all iterations (MTTKRP phases
-        plus ``"gram"`` and ``"solve"``).
+        Wall-clock seconds per iteration (Figure 7's quantity).  The
+        per-phase breakdown (MTTKRP phases plus ``"gram"`` and
+        ``"solve"``) comes from a traced run: :func:`repro.obs.capture`
+        and :func:`repro.obs.phase_totals`.
     tuning:
         Per-mode :class:`~repro.tune.cache.TuneRecord` list when the run
         was started with ``tune=True`` (``None`` otherwise).  Each
@@ -77,7 +77,6 @@ class CPALSResult:
     converged: bool = False
     iterations: int = 0
     iteration_times: list[float] = field(default_factory=list)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
     tuning: list | None = None
 
     @property
@@ -256,16 +255,15 @@ def cp_als(
 
     weights = np.ones(rank)
     grams = GramCache(factors)
-    timers = PhaseTimer()
     tracer = get_tracer()
-    result = CPALSResult(model=KruskalTensor(factors, weights), timers=timers)
+    result = CPALSResult(model=KruskalTensor(factors, weights))
     previous_fit = -np.inf
 
     def update_mode(n: int, M: np.ndarray, it: int) -> None:
         nonlocal weights
-        with timers.phase("gram"), tracer.span("gram"):
+        with tracer.span("gram"):
             H = grams.hadamard(skip=n)
-        with timers.phase("solve"), tracer.span("solve"):
+        with tracer.span("solve"):
             factors[n] = _solve_update(M, H)
             # Column normalization keeps factor magnitudes balanced
             # across modes (2-norms first iteration, max-norms after,
@@ -284,8 +282,7 @@ def cp_als(
             with tracer.span(f"mode[{n}]"):
                 M = node_mttkrp(
                     node, factors[lo:hi], keep=n - lo,
-                    num_threads=num_threads, timers=timers,
-                    pool=pool, workspace=ws,
+                    num_threads=num_threads, pool=pool, workspace=ws,
                     slot=f"{slot}[{n - lo}]",
                 )
                 update_mode(n, M, it)
@@ -357,7 +354,7 @@ def cp_als(
                 cancel.raise_if_cancelled()
             for it in range(n_iter_max):
                 with tracer.span(f"iter[{it}]"):
-                    t_start = wall_time()
+                    t_start = perf_counter()
                     M = None
                     if mode_strategy == "per-mode":
                         for n in range(N):
@@ -368,7 +365,6 @@ def cp_als(
                                     n,
                                     method=methods[n],
                                     num_threads=num_threads,
-                                    timers=timers,
                                     **mode_kwargs[n],
                                 )
                                 update_mode(n, M, it)
@@ -381,19 +377,19 @@ def cp_als(
                         with tracer.span("partial[left]"):
                             T_L = left_partial(
                                 tensor, factors, m,
-                                num_threads=num_threads, timers=timers,
-                                pool=pool, workspace=ws,
+                                num_threads=num_threads, pool=pool,
+                                workspace=ws,
                             )
                         update_half(T_L, 0, m, "nodeL", it)
                         # T_R must see the freshly updated left factors.
                         with tracer.span("partial[right]"):
                             T_R = right_partial(
                                 tensor, factors, m,
-                                num_threads=num_threads, timers=timers,
-                                pool=pool, workspace=ws,
+                                num_threads=num_threads, pool=pool,
+                                workspace=ws,
                             )
                         M = update_half(T_R, m, N, "nodeR", it)
-                    result.iteration_times.append(wall_time() - t_start)
+                    result.iteration_times.append(perf_counter() - t_start)
 
                     # Fit via the last mode's MTTKRP (no extra tensor
                     # pass): <X, Y> = sum_{i,c} M(i,c) U_{N-1}(i,c) w_c ;

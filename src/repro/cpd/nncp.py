@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from repro.core.dispatch import mttkrp
 from repro.cpd.gram import GramCache
 from repro.cpd.kruskal import KruskalTensor
+from repro.obs import get_tracer
 from repro.tensor.dense import DenseTensor
-from repro.util.timing import PhaseTimer, wall_time
 
 __all__ = ["cp_nnhals", "NNCPResult"]
 
@@ -43,7 +44,6 @@ class NNCPResult:
     converged: bool = False
     iterations: int = 0
     iteration_times: list[float] = field(default_factory=list)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
 
     @property
     def final_fit(self) -> float:
@@ -130,14 +130,12 @@ def cp_nnhals(
         raise ValueError("cannot decompose a zero tensor")
 
     grams = GramCache(factors)
-    timers = PhaseTimer()
-    result = NNCPResult(
-        model=KruskalTensor(factors, np.ones(rank)), timers=timers
-    )
+    tracer = get_tracer()
+    result = NNCPResult(model=KruskalTensor(factors, np.ones(rank)))
     previous_fit = -np.inf
 
     for it in range(n_iter_max):
-        t_start = wall_time()
+        t_start = perf_counter()
         M = None
         for n in range(N):
             M = mttkrp(
@@ -146,11 +144,10 @@ def cp_nnhals(
                 n,
                 method=method,
                 num_threads=num_threads,
-                timers=timers,
             )
-            with timers.phase("gram"):
+            with tracer.span("gram"):
                 H = grams.hadamard(skip=n)
-            with timers.phase("hals"):
+            with tracer.span("hals"):
                 U = factors[n]
                 for c in range(rank):
                     h_cc = H[c, c]
@@ -164,7 +161,7 @@ def cp_nnhals(
                         update[:] = epsilon
                     U[:, c] = update
             grams.update(n)
-        result.iteration_times.append(wall_time() - t_start)
+        result.iteration_times.append(perf_counter() - t_start)
 
         # Fit via the final mode's MTTKRP (same trick as cp_als; weights
         # are implicit/unit in HALS).

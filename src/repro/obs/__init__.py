@@ -22,7 +22,6 @@ from repro.obs.export import (
     chrome_trace,
     counter_total,
     counters_snapshot,
-    phase_timer_from_trace,
     phase_totals,
     save_chrome_trace,
     summary,
@@ -53,7 +52,6 @@ __all__ = [
     "save_chrome_trace",
     "summary",
     "phase_totals",
-    "phase_timer_from_trace",
     "counter_total",
     "counters_snapshot",
 ]

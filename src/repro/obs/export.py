@@ -9,23 +9,32 @@ Two consumers of a :class:`~repro.obs.tracer.Tracer`:
   counters ride along in ``args``, so FLOPs, byte counts and per-region
   imbalance are inspectable per event.
 * :func:`summary` — a text table reproducing the paper's Figure 6/8
-  phase-breakdown view from a single trace: leaf spans aggregated by name
+  phase-breakdown view from a single trace: phases aggregated by name
   (calls, seconds, share, achieved GFLOP/s where a ``flops`` counter is
   present), followed by a per-region load-imbalance table.
+  :func:`phase_totals` returns the same breakdown as a dict.
 
-:func:`phase_totals` / :func:`phase_timer_from_trace` bridge back into the
-pre-existing :class:`~repro.util.timing.PhaseTimer` world, so anything
-written against phase-total dicts (the figure harnesses, the report
-helpers) can consume a trace unchanged.
+The phase rule
+--------------
+A phase is a leaf span once the bookkeeping around it is dropped: the
+parallel-region spans, the pool's per-worker wrapper spans, and any
+``krp.parallel`` span nested in another span (the KRP building block's
+time belongs to the phase that called it, e.g. ``lr_krp``).  Phase spans
+that pool workers record inside one parallel region are charged once, at
+the **maximum** over that region's workers (each worker's spans of a name
+summed first) — the paper times each OpenMP region from the orchestrating
+thread the same way.  All other phase spans add up.  A region's worker
+phases count as children of the span that launched the region, so that
+span (e.g. a batched-kernel call) is not a phase itself.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 
 from repro.obs.tracer import Tracer
-from repro.util.timing import PhaseTimer
 
 __all__ = [
     "chrome_trace",
@@ -34,7 +43,6 @@ __all__ = [
     "summarize_records",
     "records_from_events",
     "phase_totals",
-    "phase_timer_from_trace",
     "counter_total",
     "counters_snapshot",
 ]
@@ -166,6 +174,9 @@ def _records_from_tracer(tracer: Tracer) -> list[dict]:
             "path": sp.path,
             "seconds": sp.duration,
             "counters": sp.counters,
+            "tid": sp.tid,
+            "start": sp.start,
+            "region": sp.args.get("region"),
         }
         for sp in tracer.spans()
     ]
@@ -193,83 +204,139 @@ def records_from_events(events: list[dict]) -> list[dict]:
                 "path": args.get("path", ev.get("name", "?")),
                 "seconds": float(ev.get("dur", 0.0)) / 1e6,
                 "counters": counters,
+                "tid": ev.get("tid", 0),
+                "start": float(ev.get("ts", 0.0)) / 1e6,
+                "region": args.get("region"),
             }
         )
     return records
 
 
-def _leaf_records(records: list[dict]) -> list[dict]:
-    """Records whose path never appears as another record's ancestor."""
-    parents = set()
-    for rec in records:
-        path = rec["path"]
-        if "/" in path:
-            parents.add(path.rsplit("/", 1)[0])
-    return [rec for rec in records if rec["path"] not in parents]
+def _parent(path: str) -> str:
+    return path.rpartition("/")[0]
 
 
-def _phase_leaf_records(records: list[dict]) -> list[dict]:
-    """Leaf records for the phase breakdown.
+def _is_worker(rec: dict) -> bool:
+    return rec["name"].endswith(".worker")
 
-    Parallel-region spans (``imbalance`` counter) and the pool's per-worker
-    wrapper spans (``*.worker``) are bookkeeping around the real phase
-    spans recorded inside the workers; dropping them *before* the leaf
-    computation both avoids double-counting their wall time and lets an
-    enclosing phase span (e.g. ``reduce``) surface as the leaf when its
-    only children were regions.
+
+def _is_region(rec: dict) -> bool:
+    return "imbalance" in rec["counters"]
+
+
+def _worker_keys(records: list[dict], spans: list[dict]) -> list:
+    """``(region, worker)`` of the pool worker span enclosing each span.
+
+    ``None`` for a span recorded outside any worker.  A worker span runs
+    one task on one thread, so the enclosing one is the latest-started
+    worker span on the same thread that is still open at the span's
+    start.  Worker spans without a ``region`` tag each count as their
+    own region.
     """
-    filtered = [
-        rec
-        for rec in records
-        if "imbalance" not in rec["counters"]
-        and not rec["name"].endswith(".worker")
+    by_tid: dict = {}
+    for rec in records:
+        if _is_worker(rec):
+            by_tid.setdefault(rec["tid"], []).append(rec)
+    starts = {}
+    for tid, workers in by_tid.items():
+        workers.sort(key=lambda rec: rec["start"])
+        starts[tid] = [rec["start"] for rec in workers]
+    keys = []
+    for span in spans:
+        key = None
+        if ".worker/" in span["path"] and span["tid"] in by_tid:
+            workers = by_tid[span["tid"]]
+            i = bisect_right(starts[span["tid"]], span["start"]) - 1
+            while i >= 0 and (
+                workers[i]["start"] + workers[i]["seconds"] < span["start"]
+            ):
+                i -= 1
+            if i >= 0:
+                worker = workers[i]
+                region = worker["region"]
+                key = (id(worker) if region is None else region, id(worker))
+        keys.append(key)
+    return keys
+
+
+def _phase_leaves(records: list[dict]) -> list[tuple[dict, tuple | None]]:
+    """Phase leaves (module docstring), each with its worker key.
+
+    Dropping the bookkeeping spans *before* the leaf computation both
+    avoids double-counting their wall time and lets an enclosing phase
+    span (``reduce`` around a reduction region, ``lr_krp`` around
+    ``krp.parallel``) surface as the leaf.  Phases recorded by a region's
+    workers count as children of the span that launched the region, so
+    a kernel span around such a region is not a leaf itself.
+    """
+    kept = [
+        rec for rec in records if not (_is_region(rec) or _is_worker(rec))
     ]
-    return _leaf_records(filtered)
+    paths = {rec["path"] for rec in kept}
+    kept = [
+        rec
+        for rec in kept
+        if rec["name"] != "krp.parallel" or _parent(rec["path"]) not in paths
+    ]
+    keys = _worker_keys(records, kept)
+    busy = {key[0] for key in keys if key is not None}
+    parents = {_parent(rec["path"]) for rec in kept}
+    parents.update(
+        _parent(rec["path"])
+        for rec in records
+        if _is_region(rec) and rec["region"] in busy
+    )
+    return [
+        (rec, key)
+        for rec, key in zip(kept, keys)
+        if rec["path"] not in parents
+    ]
+
+
+def _phase_table(records: list[dict]) -> dict[str, dict]:
+    """Per phase name: leaf ``calls``, ``seconds`` (region rule), ``flops``."""
+    table: dict[str, dict] = {}
+    in_regions: dict[tuple, dict] = {}
+    for leaf, key in _phase_leaves(records):
+        agg = table.setdefault(
+            leaf["name"], {"calls": 0, "seconds": 0.0, "flops": 0.0}
+        )
+        agg["calls"] += 1
+        agg["flops"] += leaf["counters"].get("flops", 0.0)
+        if key is None:
+            agg["seconds"] += leaf["seconds"]
+        else:
+            region, worker = key
+            per_worker = in_regions.setdefault((region, leaf["name"]), {})
+            per_worker[worker] = per_worker.get(worker, 0.0) + leaf["seconds"]
+    for (_, name), per_worker in in_regions.items():
+        table[name]["seconds"] += max(per_worker.values())
+    return table
 
 
 def phase_totals(source: Tracer | list[dict]) -> dict[str, float]:
-    """Leaf-span wall time aggregated by span name (a ``totals`` dict).
+    """Phase wall time by name: the paper's Figure 6/8 breakdown.
 
-    Mirrors :attr:`repro.util.timing.PhaseTimer.totals` so trace-derived
-    breakdowns plug into the existing figure machinery.
+    ``source`` is a live tracer or a list of aggregation records
+    (:func:`records_from_events`).  Phases recorded by pool workers are
+    charged at their per-region maximum over workers (module docstring),
+    so a T-thread region is charged once, not T times.
     """
     records = (
         _records_from_tracer(source) if isinstance(source, Tracer) else source
     )
-    totals: dict[str, float] = {}
-    for rec in _phase_leaf_records(records):
-        totals[rec["name"]] = totals.get(rec["name"], 0.0) + rec["seconds"]
-    return totals
-
-
-def phase_timer_from_trace(tracer: Tracer) -> PhaseTimer:
-    """Build a :class:`PhaseTimer` from a trace's leaf spans.
-
-    The backward-compatibility bridge: any consumer written against
-    ``PhaseTimer`` (report tables, figure drivers) can be fed a trace.
-    """
-    records = _records_from_tracer(tracer)
-    timer = PhaseTimer()
-    for rec in _phase_leaf_records(records):
-        timer.add(rec["name"], rec["seconds"])
-    return timer
+    return {
+        name: agg["seconds"] for name, agg in _phase_table(records).items()
+    }
 
 
 def summarize_records(records: list[dict]) -> str:
     """Text summary (phase breakdown + region imbalance) of trace records."""
     lines: list[str] = []
-    leaves = _phase_leaf_records(records)
-    by_name: dict[str, dict] = {}
-    for rec in leaves:
-        agg = by_name.setdefault(
-            rec["name"], {"calls": 0, "seconds": 0.0, "flops": 0.0}
-        )
-        agg["calls"] += 1
-        agg["seconds"] += rec["seconds"]
-        agg["flops"] += rec["counters"].get("flops", 0.0)
+    by_name = _phase_table(records)
     total = sum(a["seconds"] for a in by_name.values()) or 1.0
 
-    lines.append("phase breakdown (leaf spans)")
+    lines.append("phase breakdown (leaf spans; regions at max over workers)")
     lines.append(
         f"{'phase':<28} {'calls':>7} {'seconds':>10} {'share':>7} "
         f"{'GFLOP/s':>9}"

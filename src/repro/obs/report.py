@@ -6,7 +6,8 @@ Usage::
     repro-trace-report trace.json            # console script
 
 Prints the Figure 6/8-style phase breakdown (leaf spans aggregated by
-name, with achieved GFLOP/s where FLOP counters are present) and the
+name under :func:`repro.obs.phase_totals`'s rule, with achieved GFLOP/s
+where FLOP counters are present) and the
 per-region load-imbalance table, reconstructed purely from the exported
 JSON — no live tracer required.
 """

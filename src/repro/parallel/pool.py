@@ -24,6 +24,7 @@ thread after the region completes, with the worker index attached.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -33,6 +34,10 @@ from repro.parallel.partition import contiguous_blocks
 from repro.parallel.sanitizer import get_sanitizer
 
 __all__ = ["ThreadPool", "get_pool", "shutdown_all_pools"]
+
+# Traced regions number their worker spans (``region=`` arg) so a phase
+# breakdown can tell one region's workers from another's.
+_region_ids = itertools.count()
 
 
 class WorkerError(RuntimeError):
@@ -144,8 +149,9 @@ class ThreadPool:
         as a span named ``label`` (default ``"pool.region"``) carrying the
         per-worker wall times and the load-imbalance metric (max/mean
         worker time), plus one child span per participating worker on that
-        worker's own thread lane.  With tracing disabled this adds one
-        attribute check to the region launch.
+        worker's own thread lane; the region and its worker spans carry the
+        region's sequence number (``region=``).  With tracing disabled this adds one attribute check
+        to the region launch.
         """
         if len(tasks) != self.num_threads:
             raise ValueError(
@@ -159,12 +165,15 @@ class ThreadPool:
             self._dispatch(tasks, name)
             return
         times: list[float | None] = [None] * self.num_threads
+        region = next(_region_ids)
 
         def timed(index: int, task: Callable[[], None]) -> Callable[[], None]:
             def run() -> None:
                 start = time.perf_counter()
                 try:
-                    with tracer.span(f"{name}.worker", worker=index):
+                    with tracer.span(
+                        f"{name}.worker", worker=index, region=region
+                    ):
                         task()
                 finally:
                     times[index] = time.perf_counter() - start
@@ -179,12 +188,13 @@ class ThreadPool:
         try:
             self._dispatch(wrapped, name)
         finally:
-            tracer.record_region(
+            span = tracer.record_region(
                 name,
                 region_start,
                 time.perf_counter(),
                 [s for s in times if s is not None],
             )
+            span.args["region"] = region
 
     def _dispatch(
         self,

@@ -20,6 +20,7 @@ the order-2 short-circuit of :func:`repro.tune.tuner.autotune`).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from time import perf_counter
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from repro.obs import get_tracer
 from repro.parallel.config import resolve_threads
 from repro.tune.cache import TuneKey, TuneRecord, TuningCache, get_cache
 from repro.tune.tuner import Candidate
-from repro.util.timing import wall_time
 
 __all__ = ["autotune_batched", "batched_candidate_labels", "candidate_set"]
 
@@ -88,12 +88,12 @@ def _measure_batched(
         with tracer.span(
             "tune.measure", candidate=candidate.label, mode=n, warmup=rep == 0
         ) as span:
-            t0 = wall_time()
+            t0 = perf_counter()
             runner(
                 batch, factors, n, num_threads=num_threads,
                 workspace=workspace, slot="tune.batch",
             )
-            elapsed = wall_time() - t0
+            elapsed = perf_counter() - t0
             span.args["seconds"] = elapsed
         tracer.add_counter("tune.measure", 1)
         if rep > 0:  # the warm-up run absorbs pool/buffer start-up costs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.batch import (
     BATCHED_MTTKRP_METHODS,
     BatchedTensor,
@@ -189,11 +190,12 @@ def test_methods_tuple_is_the_dispatch_contract():
 
 
 def test_timers_record_phases():
-    from repro.util.timing import PhaseTimer
-
     rng = np.random.default_rng(21)
     bt, factors = _operands(rng, 3, (4, 3, 2), C=2)
-    timers = PhaseTimer()
-    mttkrp_batched(bt, factors, 1, method="batched", timers=timers)
-    assert timers.totals.get("full_krp", -1.0) >= 0.0
-    assert timers.totals.get("gemm", -1.0) >= 0.0
+    for method in ("batched", "batched-loop"):
+        for threads in (1, 2):
+            with obs.capture() as tr:
+                mttkrp_batched(
+                    bt, factors, 1, method=method, num_threads=threads
+                )
+            assert set(obs.phase_totals(tr)) == {"full_krp", "gemm"}

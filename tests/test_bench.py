@@ -145,9 +145,32 @@ class TestFigureDrivers:
         from repro.bench.figures import fig6
 
         text = self._run(
-            fig6, scale=2e-6, threads=(1,), repeats=1, modeled=False
+            fig6, scale=2e-6, threads=(1, 2), repeats=1, modeled=False
         )
         assert "gemm" in text
+        # Phase columns each measured row fills, keyed by (table, mode,
+        # algorithm) and thread count.
+        filled = {}
+        header = None
+        for line in text.splitlines():
+            if line.startswith("[Fig 6, measured]"):
+                table, _, threads = line.rpartition(", T=")
+            elif line.lstrip().startswith("mode "):
+                header = line.split()
+            elif line.lstrip().startswith("n="):
+                cells = line.split()
+                filled[table, cells[0], cells[1], int(threads)] = {
+                    phase for phase, cell in zip(header[3:], cells[3:])
+                    if cell != "-"
+                }
+        rows = {key[:3] for key in filled}
+        assert rows and {key[3] for key in filled} == {1, 2}
+        for row in rows:
+            one, two = filled[(*row, 1)], filled[(*row, 2)]
+            assert one, row
+            # The region rule keeps the T=1 phases at T=2; only the
+            # reduction of private outputs is new.
+            assert two - {"reduce"} == one, row
 
     def test_fig7_modeled(self):
         from repro.bench.figures import fig7

@@ -1,9 +1,13 @@
 """Tests for the benchmark registry and the repro-bench CLI."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bench.cli import main as cli_main
+from repro.bench.env import source_lines
 from repro.bench.registry import (
     benchmark_names,
     get_spec,
@@ -79,6 +83,7 @@ class TestRegistry:
             assert record["host"]["git_rev"]
             assert record["context"]["source"] == "repro-bench"
             assert record["context"]["scale"] == 0.01
+            assert record["context"]["src_lines"] == source_lines()
         cases = {record["case"] for record in records}
         assert PORTED_CASES[name] <= cases
 
@@ -96,6 +101,15 @@ class TestRegistry:
         for record in seq:
             assert record["counters"]["flops"] > 0
             assert record["counters"]["bytes_lower_bound"] > 0
+
+    def test_source_line_count_is_recorded(self):
+        count = source_lines()
+        assert isinstance(count, int) and count > 0
+        package = pathlib.Path(repro.__file__).parent
+        expected = sum(
+            path.read_bytes().count(b"\n") for path in package.rglob("*.py")
+        )
+        assert count == expected
 
     def test_measure_case_structure(self):
         record = measure_case(
@@ -131,6 +145,9 @@ class TestCLI:
         assert code == 0
         records = load_results(str(out_path))
         assert records and all(r["benchmark"] == "ablations" for r in records)
+        for record in records:
+            lines = record["context"]["src_lines"]
+            assert isinstance(lines, int) and lines > 0
         assert "record(s)" in capsys.readouterr().out
 
     def test_run_unknown_benchmark(self, capsys):

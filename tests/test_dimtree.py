@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core.dimtree import (
     left_partial,
     node_mttkrp,
@@ -14,7 +15,6 @@ from repro.cpd.cp_als import cp_als
 from repro.parallel.pool import get_pool
 from repro.parallel.workspace import Workspace
 from repro.tensor.generate import random_factors, random_tensor
-from repro.util.timing import PhaseTimer
 from tests.conftest import mttkrp_oracle
 
 SHAPES = [(4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 3, 2), (7, 3)]
@@ -103,9 +103,9 @@ class TestPartials:
 
     def test_timers(self):
         X, U = _case((4, 5, 6))
-        t = PhaseTimer()
-        left_partial(X, U, 2, timers=t)
-        assert {"lr_krp", "gemm"} <= set(t.totals)
+        with obs.capture() as tr:
+            left_partial(X, U, 2)
+        assert {"lr_krp", "gemm"} <= set(obs.phase_totals(tr))
 
     def test_krp_runs_on_the_executor(self):
         # Regression: the first level used to call the serial khatri_rao.
@@ -172,16 +172,16 @@ class TestNodeMttkrp:
     def test_phase_timer(self):
         X, U = _case((4, 5, 6))
         TL = left_partial(X, U, 2)
-        t = PhaseTimer()
-        node_mttkrp(TL, U[:2], keep=0, timers=t)
-        assert {"node_krp", "node_gemm"} <= set(t.totals)
+        with obs.capture() as tr:
+            node_mttkrp(TL, U[:2], keep=0)
+        assert {"node_krp", "node_gemm"} <= set(obs.phase_totals(tr))
 
     def test_phase_timer_columnwise(self):
         X, U = _case((4, 5, 6))
         TL = left_partial(X, U, 2)
-        t = PhaseTimer()
-        node_mttkrp_columnwise(TL, U[:2], keep=0, timers=t)
-        assert "gemv" in t.totals
+        with obs.capture() as tr:
+            node_mttkrp_columnwise(TL, U[:2], keep=0)
+        assert "gemv" in obs.phase_totals(tr)
 
 
 def _all_nodes(shape, rank, seed=0):
@@ -267,13 +267,19 @@ class TestCpAlsDimtree:
 
     def test_fewer_gemm_flops_reflected_in_phases(self):
         """The dimtree iteration should do its tensor-sized work in exactly
-        two 'gemm' phase entries per iteration (one per half)."""
+        two orchestrator-level 'gemm' spans per iteration (one per half)."""
         X = random_tensor((8, 8, 8, 8), rng=1)
         init = random_factors(X.shape, 4, rng=2)
-        res = cp_als(
-            X, 4, n_iter_max=2, tol=0.0, init=init, mode_strategy="dimtree"
-        )
-        assert res.timers.counts["gemm"] == 2 * 2  # 2 halves x 2 iterations
+        with obs.capture() as tr:
+            cp_als(
+                X, 4, n_iter_max=2, tol=0.0, init=init,
+                mode_strategy="dimtree",
+            )
+        gemms = [
+            s for s in tr.spans()
+            if s.name == "gemm" and ".worker" not in s.path
+        ]
+        assert len(gemms) == 2 * 2  # 2 halves x 2 iterations
 
     @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 6, 7, 4)])
     def test_parallel_trajectory_matches_serial(self, shape):

@@ -3,9 +3,9 @@
 A small traced CP-ALS run must produce (a) exactly one ``mode[n]`` span per
 iteration x mode, (b) per-region load imbalance within ``[1, num_threads]``,
 (c) MTTKRP spans carrying FLOP counters (per-mode MTTKRP spans, or the
-dimension tree's partial GEMM and node spans), and (d) a Chrome trace that
-survives a ``json.load`` round trip — while leaving the pre-existing
-``PhaseTimer`` results of the same run untouched (backward compatibility).
+dimension tree's partial GEMM and node spans), (d) a Chrome trace that
+survives a ``json.load`` round trip, and (e) a phase breakdown
+(:func:`repro.obs.phase_totals`) with the paper's phase names.
 """
 
 import json
@@ -87,12 +87,11 @@ def test_mttkrp_spans_carry_flop_counters(traced_per_mode_run):
         assert s.counters["bytes_written"] > 0
 
 
-def test_phase_timer_results_unchanged_by_tracing(traced_run):
-    _, result = traced_run
-    # The figure harnesses' PhaseTimer path keeps working under tracing.
-    snap = result.timers.snapshot()
-    assert {"gram", "solve"} <= set(snap)
-    assert "gemm" in snap
+def test_phase_totals_of_traced_run(traced_run):
+    tracer, _ = traced_run
+    phases = obs.phase_totals(tracer)
+    assert {"gram", "solve", "gemm"} <= set(phases)
+    assert all(seconds >= 0.0 for seconds in phases.values())
 
 
 def test_chrome_export_roundtrip(traced_run, tmp_path):
@@ -189,7 +188,7 @@ def test_dimtree_spans_carry_flop_counters(traced_dimtree_run):
 
 
 def test_dimtree_node_spans_and_imbalance(traced_dimtree_run):
-    tracer, result = traced_dimtree_run
+    tracer, _ = traced_dimtree_run
     node_spans = [s for s in tracer.spans() if s.name == "node_mttkrp"]
     # One per mode per iteration, nested under its mode span.
     assert len(node_spans) == ITERS * 4
@@ -205,7 +204,7 @@ def test_dimtree_node_spans_and_imbalance(traced_dimtree_run):
     assert regions
     for region in regions:
         assert 1 <= region.counters["workers"] <= THREADS
-    # The PhaseTimer view of the same run has the dimtree phases.
+    # The phase breakdown of the same run has the dimtree phases.
     assert {"lr_krp", "gemm", "node_krp", "node_gemm"} <= set(
-        result.timers.totals
+        obs.phase_totals(tracer)
     )
