@@ -66,8 +66,8 @@ BATCHED_MTTKRP_METHODS = (
 )
 
 # Execution-environment kwargs forwarded from the caller when
-# ``method="autotune"`` resolves to a concrete lane (the tuning record
-# itself carries no mathematical kwargs for the batched lanes).
+# ``method="autotune"`` resolves to a concrete lane (the batched lanes
+# take no mathematical kwargs).
 _TUNE_PASSTHROUGH = ("workspace", "slot", "cache_bytes")
 
 
@@ -182,11 +182,7 @@ def mttkrp_batched(
             workspace=kwargs.get("workspace"),
         )
         method = record.method
-        resolved_kwargs = dict(record.kwargs)
-        for key in _TUNE_PASSTHROUGH:
-            if key in kwargs:
-                resolved_kwargs[key] = kwargs[key]
-        kwargs = resolved_kwargs
+        kwargs = {k: kwargs[k] for k in _TUNE_PASSTHROUGH if k in kwargs}
     if method not in BATCHED_MTTKRP_METHODS or method in ("auto", "autotune"):
         raise ValueError(
             f"unknown method {method!r}; expected one of "

@@ -1,7 +1,7 @@
 """Benchmark harness: registry, normalized results, regression trends.
 
 * :mod:`~repro.bench.registry` — name → :class:`BenchSpec` registry of
-  every runnable benchmark (fig4–fig8, dimtree, autotune, pool-overhead,
+  every runnable benchmark (fig4–fig8, dimtree, pool-overhead,
   ablations); ``run_benchmark`` executes any of them at a chosen scale;
 * :mod:`~repro.bench.schema` — the one normalized result record every
   producer emits (timing stats + obs counters + host fingerprint + git

@@ -2,7 +2,7 @@
 
 The ``FIGURES``-registry pattern applied to this repo's whole benchmark
 surface: every measurable experiment — the paper figures (fig4–fig8), the
-dimension-tree comparison, the autotuner economics, the parallel-runtime
+dimension-tree comparison, the batched engine, the parallel-runtime
 overheads, the design ablations — registers a :class:`BenchSpec` here, so
 
 * ``repro-bench list`` enumerates them with tags and descriptions,

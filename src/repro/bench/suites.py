@@ -275,62 +275,6 @@ def _run_dimtree(scale, threads, repeats, rng):
 
 
 # --------------------------------------------------------------------- #
-# Autotuner economics (PR 5)
-# --------------------------------------------------------------------- #
-
-
-@register(
-    "autotune",
-    title="Autotuner economics: cold tuning cost, warm hit, policy vs pick",
-    tags=("tune",),
-    default_scale=1.0,
-)
-def _run_autotune(scale, threads, repeats, rng):
-    from repro.core.dispatch import mttkrp
-    from repro.tune import TuningCache, autotune
-
-    shape = scaled_shape((48, 32, 24), scale)
-    rank = 16
-    T = max(threads)
-    X = random_tensor(shape, rng=rng)
-    U = random_factors(shape, rank, rng=rng + 1)
-    records = []
-
-    def cold():
-        cache = TuningCache(None)  # fresh every round: always a miss
-        autotune(X, U, 1, num_threads=T, cache=cache, repeats=1)
-
-    records.append(measure_case(
-        "autotune", "cold",
-        cold,
-        params={"shape": list(shape), "rank": rank, "threads": T},
-        repeats=repeats,
-    ))
-
-    warm_cache = TuningCache(None)
-    pick = autotune(X, U, 1, num_threads=T, cache=warm_cache, repeats=1)
-    records.append(measure_case(
-        "autotune", "warm",
-        lambda: autotune(X, U, 1, num_threads=T, cache=warm_cache),
-        params={"shape": list(shape), "rank": rank, "threads": T,
-                "pick": pick.label},
-        repeats=repeats,
-    ))
-
-    for method in ("auto", "autotune"):
-        if method == "autotune":
-            mttkrp(X, U, 1, method="autotune", num_threads=T)  # warm the cache
-        records.append(measure_case(
-            "autotune", f"policy/{method}",
-            lambda method=method: mttkrp(X, U, 1, method=method, num_threads=T),
-            params={"shape": list(shape), "rank": rank, "threads": T,
-                    "method": method},
-            repeats=repeats,
-        ))
-    return records
-
-
-# --------------------------------------------------------------------- #
 # Parallel-runtime substrate (PR 2)
 # --------------------------------------------------------------------- #
 

@@ -99,9 +99,9 @@ def mttkrp_dimtree(
     :func:`node_mttkrp`.  In CP-ALS the partial is shared across all
     modes of its half (``mode_strategy="dimtree"``); as a *single-mode*
     kernel the partial is paid in full, so this path wins only where the
-    node contraction is disproportionately cheap — which is exactly the
-    kind of machine/shape-dependent call the autotuner
-    (:mod:`repro.tune`) measures instead of guessing.
+    node contraction is disproportionately cheap.  It is not part of
+    the paper's ``method="auto"`` policy; callers name it with
+    ``method="dimtree"``.
 
     ``workspace``/``slot`` follow :func:`node_mttkrp`: with a reused
     workspace, repeated calls on equal shapes allocate nothing after the

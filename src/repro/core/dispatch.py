@@ -6,9 +6,9 @@ exactly what ``method="auto"`` does (noting the two algorithms coincide for
 external modes anyway).
 
 :data:`KERNELS` is the single registry of runnable MTTKRP kernels.
-Dispatch, the autotuner's candidate set and stale-record check, the
-tuner's model prior, the oracle tests and the bench suites all iterate
-it, so adding a kernel is one :class:`KernelSpec` row.
+Dispatch, the method check (:func:`check_method`, shared with serve
+admission), the oracle tests and the bench suites all iterate it, so
+adding a kernel is one :class:`KernelSpec` row.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.util.validation import check_mode
 
-__all__ = ["mttkrp", "MTTKRP_METHODS", "KERNELS", "KernelSpec"]
+__all__ = ["mttkrp", "check_method", "MTTKRP_METHODS", "KERNELS", "KernelSpec"]
 
 
 def _any_mode(shape: Sequence[int], n: int) -> bool:
@@ -53,27 +53,15 @@ class KernelSpec:
         num_threads=..., **kwargs)``.
     eligible:
         ``eligible(shape, n)`` — whether the kernel is defined for mode
-        ``n``.  The tuner measures only eligible kernels; dispatch runs
-        the paper's policy kernel in place of an ineligible one.
+        ``n``.  Dispatch runs the paper's policy kernel in place of an
+        ineligible one.
     variants:
-        Named kwarg presets, spelled ``"<name>:<variant>"`` (tuning
-        records use these labels, so a recorded pick replays verbatim).
-        The tuner measures each variant as its own candidate.
+        Named kwarg presets, spelled ``"<name>:<variant>"``.
     cost_kind:
         Kind passed to :func:`repro.core.flops.record_mttkrp_cost` after
         each traced call; ``None`` for kernels whose nested spans carry
         their own flop/byte counters (the call then records only
         ``bytes_lower_bound``).
-    prior:
-        Algorithm name given to
-        :func:`repro.machine.predict.predict_algorithm_time` for the
-        tuner's model prior; ``None`` leaves the kernel unscored.
-    tunable:
-        Whether the autotuner measures this kernel.
-    env_kwargs:
-        Execution-environment kwargs the entry accepts (workspace and
-        friends); forwarded from the caller when ``method="autotune"``
-        resolves to this kernel.
     """
 
     name: str
@@ -81,9 +69,6 @@ class KernelSpec:
     eligible: Callable[[Sequence[int], int], bool] = _any_mode
     variants: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     cost_kind: str | None = None
-    prior: str | None = None
-    tunable: bool = True
-    env_kwargs: tuple[str, ...] = ()
 
     def labels(self) -> list[tuple[str, dict]]:
         """``(label, kwargs)`` for every variant, or the bare name."""
@@ -119,32 +104,23 @@ def _onestep_sequential(tensor, factors, n, num_threads=None):
 KERNELS: dict[str, KernelSpec] = {
     spec.name: spec
     for spec in (
+        KernelSpec("onestep", mttkrp_onestep, cost_kind="onestep"),
+        # Strictly dominated by "onestep" at every thread count; kept for
+        # the ablation suite.
         KernelSpec(
-            "onestep", mttkrp_onestep, cost_kind="onestep", prior="onestep"
-        ),
-        # Strictly dominated by "onestep" at every thread count, so the
-        # tuner never measures it; kept for the ablation suite.
-        KernelSpec(
-            "onestep-seq", _onestep_sequential, cost_kind="onestep-seq",
-            tunable=False,
+            "onestep-seq", _onestep_sequential, cost_kind="onestep-seq"
         ),
         KernelSpec(
             "twostep", mttkrp_twostep, eligible=_internal_mode,
             variants={"left": {"side": "left"}, "right": {"side": "right"}},
-            cost_kind="twostep", prior="twostep",
+            cost_kind="twostep",
         ),
-        KernelSpec(
-            "dimtree", mttkrp_dimtree, prior="dimtree",
-            env_kwargs=("workspace", "pool", "slot"),
-        ),
-        KernelSpec(
-            "baseline", mttkrp_baseline, cost_kind="baseline",
-            prior="baseline",
-        ),
+        KernelSpec("dimtree", mttkrp_dimtree),
+        KernelSpec("baseline", mttkrp_baseline, cost_kind="baseline"),
     )
 }
 
-MTTKRP_METHODS = ("auto", "autotune", *KERNELS)
+MTTKRP_METHODS = ("auto", *KERNELS)
 
 
 def _policy(external: bool) -> str:
@@ -159,6 +135,34 @@ def _unknown(method: str) -> ValueError:
         f"unknown method {method!r}; expected one of {MTTKRP_METHODS} "
         f"or a variant label {tuple(labels)}"
     )
+
+
+def check_method(method, ndim: int | None = None) -> list[str]:
+    """Validate a ``method=`` value as :func:`~repro.cpd.cp_als.cp_als` takes it.
+
+    A string (``"auto"``, a :data:`KERNELS` name or a variant label such
+    as ``"twostep:left"``) applies to every mode; a sequence names one
+    spec per mode and must have ``ndim`` entries (checked only when
+    ``ndim`` is given).  Returns the per-mode list (a string is repeated
+    ``ndim`` times, or returned alone when ``ndim`` is ``None``); raises
+    :class:`ValueError` on an unknown spec or a wrong length.
+    """
+    if isinstance(method, str):
+        methods = [method] * (1 if ndim is None else ndim)
+    else:
+        methods = [str(m) for m in method]
+        if ndim is not None and len(methods) != ndim:
+            raise ValueError(
+                f"expected {ndim} per-mode methods, got {len(methods)}"
+            )
+    for spec in dict.fromkeys(methods):
+        name, _, variant = spec.partition(":")
+        kernel = KERNELS.get(name)
+        if spec != "auto" and (
+            kernel is None or (variant and variant not in kernel.variants)
+        ):
+            raise _unknown(spec)
+    return methods
 
 
 def mttkrp(
@@ -185,22 +189,13 @@ def mttkrp(
     method:
         * ``"auto"`` — the paper's CP-ALS policy: 1-step for external
           modes, 2-step for internal modes;
-        * ``"autotune"`` — empirical selection (:mod:`repro.tune`): the
-          fastest kernel measured for this ``(shape, rank, mode,
-          threads, dtype)`` key, served from the persisted
-          tuning cache after the first call.  2-way tensors skip
-          measurement entirely (every kernel is the same single GEMM).
-          Caller kwargs other than the selected kernel's
-          ``env_kwargs`` are ignored — the tuning record supplies the
-          kernel kwargs;
         * ``"onestep"`` — Algorithm 3 (the recommended 1-step variant,
           also for ``num_threads=1``);
         * ``"onestep-seq"`` — Algorithm 2 (explicit full KRP);
         * ``"twostep"`` — Algorithm 4 (internal modes only; external modes
           fall back to 1-step, which it degenerates to).  The spec forms
           ``"twostep:left"``/``"twostep:right"`` pin the ordering (same
-          as ``side=``) — this is the label syntax tuning records use,
-          so a recorded pick can be replayed verbatim;
+          as ``side=``), as in a per-mode ``cp_als`` method list;
         * ``"dimtree"`` — the dimension-tree node path for a single mode
           (half-tensor partial contraction + node MTTKRP, see
           :func:`repro.core.dimtree.mttkrp_dimtree`); accepts
@@ -224,30 +219,16 @@ def mttkrp(
             f"tensor must be a DenseTensor, got {type(tensor).__name__}"
         )
     n = check_mode(n, tensor.ndim)
+    if not isinstance(method, str):
+        raise TypeError(
+            f"method must be a string, got {type(method).__name__}"
+        )
+    check_method(method)
     external = n == 0 or n == tensor.ndim - 1
     if method == "auto":
         method = _policy(external)
-    autotuned = method == "autotune"
-    if autotuned:
-        from repro.tune.tuner import autotune
-
-        record = autotune(
-            tensor,
-            factors,
-            n,
-            num_threads=num_threads,
-            workspace=kwargs.get("workspace"),
-        )
-        passthrough = KERNELS[record.method].env_kwargs
-        resolved_kwargs = dict(record.kwargs)
-        resolved_kwargs.update(
-            (key, kwargs[key]) for key in passthrough if key in kwargs
-        )
-        method, kwargs = record.method, resolved_kwargs
     name, _, variant = method.partition(":")
-    spec = KERNELS.get(name)
-    if spec is None or (variant and variant not in spec.variants):
-        raise _unknown(method)
+    spec = KERNELS[name]
     if variant:
         for key, value in spec.variants[variant].items():
             kwargs.setdefault(key, value)
@@ -272,7 +253,6 @@ def mttkrp(
         return spec.run(tensor, factors, n, num_threads, **kwargs)
     with tracer.span(
         f"mttkrp.{spec.name}", mode=n, shape=list(tensor.shape),
-        autotuned=autotuned,
     ) as span:
         # The row's runner attaches the analytic flop/byte counters
         # and the lower bound to this open span; the dimtree path's

@@ -42,10 +42,12 @@ __all__ = [
 
 _DOUBLE = 8  # bytes per entry, double precision throughout the paper
 
-#: Fallback fast-memory capacity when no calibrated machine model is in
-#: scope (``repro.machine.model.MachineModel.cache_bytes`` is the
-#: authoritative value).  8 MiB of last-level cache is a conservative
-#: lower bound for any machine this package targets.
+#: Fast-memory capacity when no calibrated machine model is in scope: the
+#: default of ``repro.machine.model.MachineModel.cache_bytes``, so also
+#: the uncalibrated host model's.  8 MiB of last-level cache is a
+#: conservative lower bound for any machine this package targets.  Kept
+#: here so a traced call never imports :mod:`repro.machine` inside its
+#: kernel span.
 DEFAULT_CACHE_BYTES = 8 << 20
 
 
@@ -427,7 +429,7 @@ def record_mttkrp_cost(
     counters land on the innermost open span — the ``mttkrp.<method>``
     span when the call came through :func:`repro.core.dispatch.mttkrp`,
     the enclosing span (or the tracer-level counters) on a direct runner
-    call (tuner probes, bench suites).  Alongside the achieved flop/byte
+    call (bench suites).  Alongside the achieved flop/byte
     counts, every call carries ``bytes_lower_bound`` — the Ballard-Rouse-Knight
     data-movement floor for this (shape, mode, rank) — so any traced run
     can report its achieved-vs-lower-bound byte ratio.
@@ -447,9 +449,7 @@ def record_mttkrp_cost(
     if tracer is None or not getattr(tracer, "enabled", False):
         return
     if cache_bytes is None:
-        from repro.machine.model import host_model_default
-
-        cache_bytes = float(host_model_default().cache_bytes)
+        cache_bytes = float(DEFAULT_CACHE_BYTES)
     if kind is None:
         cost = None
     elif kind == "onestep":

@@ -33,7 +33,7 @@ from repro.core.dimtree import (
     right_partial,
     split_point,
 )
-from repro.core.dispatch import mttkrp
+from repro.core.dispatch import check_method, mttkrp
 from repro.core.flops import record_mttkrp_cost
 from repro.cpd.gram import GramCache
 from repro.obs import get_tracer
@@ -64,12 +64,6 @@ class CPALSResult:
         per-phase breakdown (MTTKRP phases plus ``"gram"`` and
         ``"solve"``) comes from a traced run: :func:`repro.obs.capture`
         and :func:`repro.obs.phase_totals`.
-    tuning:
-        Per-mode :class:`~repro.tune.cache.TuneRecord` list when the run
-        was started with ``tune=True`` (``None`` otherwise).  Each
-        record's :attr:`~repro.tune.cache.TuneRecord.label` is a method
-        spec accepted back by :func:`cp_als`/:func:`~repro.core.dispatch.mttkrp`,
-        so a tuned run is exactly replayable.
     """
 
     model: KruskalTensor
@@ -77,7 +71,6 @@ class CPALSResult:
     converged: bool = False
     iterations: int = 0
     iteration_times: list[float] = field(default_factory=list)
-    tuning: list | None = None
 
     @property
     def final_fit(self) -> float:
@@ -110,7 +103,6 @@ def cp_als(
     rng: np.random.Generator | int | None = None,
     verbose: bool = False,
     workspace: "Workspace | None" = None,
-    tune: bool = False,
     cancel: "CancelToken | None" = None,
 ) -> CPALSResult:
     """Fit a rank-``C`` CP decomposition with alternating least squares.
@@ -134,11 +126,10 @@ def cp_als(
         per-mode runs (``"auto"`` = the paper's per-mode policy;
         ``"baseline"`` gives the Tensor-Toolbox-style comparison point),
         or a sequence of one method spec per mode (spec forms like
-        ``"twostep:left"`` allowed) — the shape ``result.tuning`` picks
-        replay as.  Any value other than ``"auto"`` pins the kernel, so
-        ``mode_strategy="auto"`` runs per-mode.  Ignored when
-        ``mode_strategy="dimtree"`` (a string is tolerated there; a
-        per-mode list is an error) and when ``tune=True``.
+        ``"twostep:left"`` allowed).  Any value other than ``"auto"``
+        pins the kernel, so ``mode_strategy="auto"`` runs per-mode.
+        Ignored when ``mode_strategy="dimtree"`` (a string is tolerated
+        there; a per-mode list is an error).
     mode_strategy:
         ``"dimtree"`` — the Phan et al. Section III.C extension the
         paper's conclusion proposes: two partial contractions per
@@ -146,9 +137,9 @@ def cp_als(
         :mod:`repro.core.dimtree`), cutting the passes over the tensor
         from ``N`` to 2; ``"per-mode"`` — one independent MTTKRP per mode
         per iteration (the paper's implementation); ``"auto"`` (the
-        default) — ``"dimtree"`` when ``method="auto"``, ``tune=False``
-        and ``N >= 3``, ``"per-mode"`` otherwise, so a caller that names
-        a kernel, passes a per-mode list or tunes gets exactly that.  Both
+        default) — ``"dimtree"`` when ``method="auto"`` and ``N >= 3``,
+        ``"per-mode"`` otherwise, so a caller that names a kernel or
+        passes a per-mode list gets exactly that.  Both
         strategies produce mathematically identical iterates (equal to
         roundoff, not bitwise).  The ``cp_als`` trace span records the
         resolved strategy.
@@ -162,20 +153,11 @@ def cp_als(
         Optional :class:`~repro.parallel.workspace.Workspace` for
         iteration-reused buffers: the dimtree strategy's node buffers,
         KRP panels and per-worker private outputs (so default runs use
-        it), the autotuner's measurement scratch (released after tuning
-        so it does not pollute the arena), and any per-mode ``"dimtree"``
-        picks.  By default one is created internally and closed when the
-        run finishes; pass your own to inspect its allocation stats
-        (after warm-up, iterations allocate nothing) or to share buffers
-        across runs on equal shapes.  Ignored by per-mode runs that
-        neither tune nor use a dimtree pick.
-    tune:
-        Run the empirical autotuner (:func:`repro.tune.autotune`) once
-        per mode before the iteration loop and use its picks for every
-        iteration (requires ``mode_strategy="per-mode"``; overrides
-        ``method``).  Decisions come from / go to the persisted tuning
-        cache, so only the first run on a new configuration pays
-        measurement time; the picks are recorded in ``result.tuning``.
+        it), and any per-mode ``"dimtree"`` picks.  By default one is
+        created internally and closed when the run finishes; pass your
+        own to inspect its allocation stats (after warm-up, iterations
+        allocate nothing) or to share buffers across runs on equal
+        shapes.  Ignored by per-mode runs without a dimtree pick.
     cancel:
         Optional :class:`~repro.util.cancel.CancelToken` polled at every
         iteration boundary: a cancelled token (or an expired deadline)
@@ -192,7 +174,8 @@ def cp_als(
     Raises
     ------
     ValueError
-        On rank/shape inconsistencies or a zero input tensor.
+        On rank/shape inconsistencies, an unknown method or a zero input
+        tensor.
     """
     if not isinstance(tensor, DenseTensor):
         raise TypeError(
@@ -227,31 +210,19 @@ def cp_als(
         raise ValueError("cannot decompose a zero tensor")
     if mode_strategy == "auto":
         # The dimension tree unless the caller pinned a kernel (a named
-        # method, a per-mode list or the tuner's picks); order 2 has no
-        # partial to share.
+        # method or a per-mode list); order 2 has no partial to share.
         unpinned = isinstance(method, str) and method == "auto"
-        mode_strategy = (
-            "dimtree" if unpinned and not tune and N >= 3 else "per-mode"
-        )
+        mode_strategy = "dimtree" if unpinned and N >= 3 else "per-mode"
     elif mode_strategy not in ("per-mode", "dimtree"):
         raise ValueError(
             f"mode_strategy must be 'auto', 'per-mode' or 'dimtree', "
             f"got {mode_strategy!r}"
         )
-    if isinstance(method, str):
-        methods = [method] * N
-    else:
-        if mode_strategy != "per-mode":
-            raise ValueError(
-                "a per-mode method list requires mode_strategy='per-mode'"
-            )
-        methods = [str(m) for m in method]
-        if len(methods) != N:
-            raise ValueError(
-                f"expected {N} per-mode methods, got {len(methods)}"
-            )
-    if tune and mode_strategy != "per-mode":
-        raise ValueError("tune=True requires mode_strategy='per-mode'")
+    if not isinstance(method, str) and mode_strategy != "per-mode":
+        raise ValueError(
+            "a per-mode method list requires mode_strategy='per-mode'"
+        )
+    methods = check_method(method, N)
 
     weights = np.ones(rank)
     grams = GramCache(factors)
@@ -297,22 +268,16 @@ def cp_als(
         shape=list(tensor.shape),
         mode_strategy=mode_strategy,
         method=method if isinstance(method, str) else list(methods),
-        tune=tune,
     ):
         # Long-lived runtime state, acquired once and reused by every
         # iteration: the thread pool and the workspace arena owning the
         # node buffers, KRP panels and private outputs (zero per-iteration
         # allocations after the first iteration warms the arena up).  The
-        # arena also backs the autotuner's measurement runs and any
-        # per-mode "dimtree" picks.
+        # arena also backs any per-mode "dimtree" picks.
         ws = None
         own_ws = False
         pool = None
-        needs_ws = (
-            mode_strategy == "dimtree"
-            or tune
-            or any(spec == "dimtree" for spec in methods)
-        )
+        needs_ws = mode_strategy == "dimtree" or "dimtree" in methods
         if needs_ws:
             from repro.parallel.config import resolve_threads
             from repro.parallel.pool import get_pool
@@ -323,32 +288,10 @@ def cp_als(
             ws = workspace if workspace is not None else Workspace()
             own_ws = workspace is None
         m = split_point(N)  # the dimension tree's left-half mode count
-        mode_kwargs: list[dict] = [{} for _ in range(N)]
-        if tune:
-            # Tune once, before the loop; every iteration then replays
-            # the recorded picks, so the iterates are bit-identical to a
-            # run with an explicit per-mode method list matching them.
-            from repro.tune.tuner import autotune
-
-            records = [
-                autotune(
-                    tensor, factors, n,
-                    num_threads=num_threads, workspace=ws,
-                )
-                for n in range(N)
-            ]
-            result.tuning = records
-            methods = [r.method for r in records]
-            mode_kwargs = [dict(r.kwargs) for r in records]
-            # Measurement scratch is dead weight from here on; drop it so
-            # the arena holds only what the iterations will reuse.
-            ws.release("tune.")
-            if not any(spec == "dimtree" for spec in methods):
-                ws.release("dimtree.")
-        for n in range(N):
-            if methods[n] == "dimtree":
-                mode_kwargs[n]["workspace"] = ws
-                mode_kwargs[n]["pool"] = pool
+        mode_kwargs = [
+            {"workspace": ws, "pool": pool} if spec == "dimtree" else {}
+            for spec in methods
+        ]
         try:
             if cancel is not None:
                 cancel.raise_if_cancelled()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.flops import PhaseCost
+from repro.core.flops import DEFAULT_CACHE_BYTES, PhaseCost
 
 __all__ = [
     "MachineModel",
@@ -106,7 +106,7 @@ class MachineModel:
     naive_recompute_penalty: float = 0.55
     matlab_parallel_speedup: float = 2.0
     region_overhead_us: float = 20.0
-    cache_bytes: float = float(8 << 20)
+    cache_bytes: float = float(DEFAULT_CACHE_BYTES)
 
     # ------------------------------------------------------------------ #
     # Rate curves

@@ -70,9 +70,6 @@ _PARALLEL_CLASS: dict[tuple[str, str], str] = {
     ("baseline", "full_krp"): "serial",
     ("baseline", "gemm"): "blas",
     ("gemm-baseline", "gemm"): "blas",
-    ("dimtree", "gemm"): "blas",
-    ("dimtree", "krp"): "memory",
-    ("dimtree", "gemv"): "memory",
     ("ttb", "reorder"): "matlab",
     ("ttb", "full_krp"): "matlab",
     ("ttb", "gemm"): "blas",
@@ -136,9 +133,6 @@ def predict_algorithm_time(
     * ``"baseline"`` — straightforward approach (reorder + reuse-KRP +
       one BLAS GEMM);
     * ``"gemm-baseline"`` — the paper's DGEMM-only Baseline benchmark;
-    * ``"dimtree"`` — the single-mode dimension-tree node path
-      (half-tensor partial contraction + partial KRP + one node
-      contraction);
     * ``"ttb"`` — the Matlab reference profile (serial reorder + serial
       naive KRP + BLAS GEMM).
     """
@@ -164,8 +158,6 @@ def predict_algorithm_time(
         cost = baseline_cost(shape, n, C)
     elif algorithm == "gemm-baseline":
         cost = gemm_lower_bound_cost(shape, n, C)
-    elif algorithm == "dimtree":
-        cost = _dimtree_mode_cost(shape, n, C)
     elif algorithm == "ttb":
         base = baseline_cost(shape, n, C)
         # Same structure as "baseline" but with the naive (no-reuse) KRP the
@@ -257,22 +249,6 @@ def predict_cpals_iteration(
             total += half_len * model.stream_time(per_mode, threads)
         return total
     raise ValueError(f"unknown implementation {implementation!r}")
-
-
-def _dimtree_mode_cost(shape: tuple[int, ...], n: int, C: int) -> AlgorithmCost:
-    """Phases of one single-mode dimension-tree MTTKRP (the tuner prior)."""
-    from repro.core.dimtree import split_point
-    from repro.core.flops import gemm_cost
-    from repro.util import prod
-
-    m = split_point(len(shape))
-    half, other = (shape[:m], shape[m:]) if n < m else (shape[m:], shape[:m])
-    node_entries = prod(half) * C
-    return AlgorithmCost("dimtree", (
-        gemm_cost(prod(half), C, prod(other)),
-        krp_cost(list(other), C),
-        PhaseCost("gemv", 2.0 * node_entries, node_entries * 8.0, 0.0),
-    ))
 
 
 def predict_krp_time(

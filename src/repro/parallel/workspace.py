@@ -117,9 +117,9 @@ class Workspace:
         """Drop every buffer whose name starts with ``prefix``.
 
         Used to evict scratch that served a bounded setup stage — e.g.
-        the autotuner's measurement buffers (``"tune."``-prefixed slots,
-        see :mod:`repro.tune`) after ``cp_als(tune=True)`` has its picks —
-        so a long-lived arena does not stay inflated by allocations that
+        the batched tuner's measurement buffers (``"tune."``-prefixed
+        slots, see :mod:`repro.tune`) after ``cp_als_batched(tune=True)``
+        has its pick — so a long-lived arena does not stay inflated by allocations that
         will never be reused.  Returns the number of buffers dropped;
         :attr:`stats` is left untouched (``allocations`` counts history,
         not residency, so the zero-allocations-after-warm-up invariant

@@ -9,7 +9,9 @@ never sees a malformed payload.  Two layers:
   payload source, float32/float64 dtype, order >= 2 with positive
   dimensions, finite entries (a NaN tensor can never converge — the fit
   goes NaN and burns the whole ``n_iter_max`` budget), positive rank,
-  sane solver options;
+  sane solver options, and a ``method`` that
+  :func:`~repro.core.dispatch.check_method` accepts (so an unknown
+  kernel name never reaches a worker);
 * :func:`admit` — resource budgets validated against the machine model:
   the requested thread count against the model's cores, and the
   estimated working set (:func:`estimate_job_bytes`) against both the
@@ -86,6 +88,7 @@ def validate_spec(spec: JobSpec) -> JobSpec:
     """
     from dataclasses import replace
 
+    from repro.core.dispatch import check_method
     from repro.parallel.config import resolve_threads
     from repro.tensor.dense import DenseTensor
 
@@ -114,7 +117,16 @@ def validate_spec(spec: JobSpec) -> JobSpec:
         )
     spec = replace(spec, num_threads=resolve_threads(spec.num_threads))
 
+    def check_spec_method(ndim):
+        try:
+            check_method(spec.method, ndim)
+        except (TypeError, ValueError) as exc:
+            raise AdmissionError("method", str(exc)) from exc
+
     if spec.tensor_ref is not None:
+        # The worker loads the tensor, so a per-mode list's length is
+        # checked there; the names are checked here.
+        check_spec_method(None)
         if not os.path.exists(spec.tensor_ref):
             raise AdmissionError(
                 "tensor_ref", f"no such file: {spec.tensor_ref!r}"
@@ -153,6 +165,7 @@ def validate_spec(spec: JobSpec) -> JobSpec:
             raise AdmissionError(
                 "tensor", f"must be order >= 2, got order {tensor.ndim}"
             )
+    check_spec_method(tensor.ndim)
     if not np.isfinite(tensor.data).all():
         raise AdmissionError("tensor", "contains NaN or Inf entries")
     return replace(spec, tensor=tensor)

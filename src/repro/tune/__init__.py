@@ -1,25 +1,24 @@
-"""Empirical MTTKRP autotuning with a persisted decision cache.
+"""Measured stacked-vs-loop lane choice for the batched MTTKRP engine.
 
-``repro.tune`` replaces the paper's static Section 5.3.3 kernel policy
-with measurement: for a ``(shape, rank, mode, threads, dtype)``
-configuration it microbenchmarks the real kernel candidates (1-step,
-2-step in both orderings, the dimension-tree node path, the baseline),
-persists the winner in a JSON cache (``REPRO_TUNE_CACHE``), and serves
-every later call from the cache at zero measurement cost.  The analytic
-machine model (:mod:`repro.machine`) seeds the search order and prunes
-dominated candidates, so the model remains a prior while the decision is
-empirical.
+:func:`~repro.tune.batched.autotune_batched` times the two lanes of
+:mod:`repro.batch` (``"batched"`` and ``"batched-loop"``) for a
+``(shape, rank, mode, threads, dtype, batch)`` key and persists the
+winner in a JSON cache (``REPRO_TUNE_CACHE``), so every later call with
+the same key pays nothing.  ``mttkrp_batched(method="autotune")``,
+``cp_als_batched(tune=True)`` and the serve scheduler's
+:func:`~repro.serve.scheduler.batching_pays` read these records.
+
+Single-tensor MTTKRP has no tuner: ``mttkrp(method="auto")`` is the
+paper's static Section 5.3.3 policy, and ``cp_als`` runs the dimension
+tree by default (see ``docs/batching.md`` for the batched crossover).
 
 Entry points:
 
-* :func:`autotune` — the library API (used by
-  ``mttkrp(method="autotune")`` and ``cp_als(tune=True)``);
-* ``python -m repro.tune`` / ``repro-tune`` — the CLI;
+* :func:`autotune_batched` — the library API;
 * :class:`TuningCache` / :func:`get_cache` — the persistence layer.
-
-See ``docs/autotune.md``.
 """
 
+from repro.tune.batched import Candidate, autotune_batched
 from repro.tune.cache import (
     TuneCacheWarning,
     TuneKey,
@@ -29,13 +28,6 @@ from repro.tune.cache import (
     get_cache,
     reset_cache,
 )
-from repro.tune.tuner import (
-    Candidate,
-    autotune,
-    candidate_set,
-    is_degenerate,
-    proxy_operands,
-)
 
 __all__ = [
     "Candidate",
@@ -43,11 +35,8 @@ __all__ = [
     "TuneKey",
     "TuneRecord",
     "TuningCache",
-    "autotune",
-    "candidate_set",
+    "autotune_batched",
     "default_cache_path",
     "get_cache",
-    "is_degenerate",
-    "proxy_operands",
     "reset_cache",
 ]

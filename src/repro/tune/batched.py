@@ -13,13 +13,19 @@ in the standard :class:`~repro.tune.cache.TuningCache` — under a
 fleet sizes that amortize differently.
 
 ``B == 1`` is degenerate: both lanes issue the identical single-item
-calls, so the stacked lane is recorded without measurement (mirroring
-the order-2 short-circuit of :func:`repro.tune.tuner.autotune`).
+calls, so the stacked lane is recorded without measurement.
+
+Observability: every measurement run is a ``tune.measure`` span (with
+``candidate`` and ``seconds`` args) and bumps the ``tune.measure``
+counter; cache consultations bump ``tune.cache_hit`` /
+``tune.cache_miss`` (and ``tune.cache_stale`` when a persisted record
+names no batched lane and is re-measured instead of replayed).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -27,15 +33,27 @@ import numpy as np
 from repro.obs import get_tracer
 from repro.parallel.config import resolve_threads
 from repro.tune.cache import TuneKey, TuneRecord, TuningCache, get_cache
-from repro.tune.tuner import Candidate
 
-__all__ = ["autotune_batched", "batched_candidate_labels", "candidate_set"]
+__all__ = [
+    "Candidate",
+    "autotune_batched",
+    "batched_candidate_labels",
+    "candidate_set",
+]
 
 #: Measure on at most this many items: the per-item overhead the stacked
 #: lane amortizes only *shrinks* relative to the arithmetic as B grows,
 #: so a decision taken at this batch size is conservative for larger
 #: fleets while keeping tuner probes cheap.
 _PROXY_BATCH_LIMIT = 64
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One lane the tuner can measure."""
+
+    label: str
+    method: str
 
 
 def candidate_set(shape: Sequence[int], n: int, batch: int) -> list[Candidate]:
@@ -118,8 +136,25 @@ def autotune_batched(
     :func:`~repro.batch.mttkrp.mttkrp_batched` ``method="autotune"``
     call and by ``cp_als_batched(tune=True)``.
 
-    Parameters mirror :func:`repro.tune.tuner.autotune`; ``force=True``
-    re-measures even on a cache hit.
+    Parameters
+    ----------
+    batch, factors, n:
+        The batched MTTKRP operands the decision is for.
+    num_threads:
+        Worker count; part of the cache key.  Defaults to the
+        package-wide setting.
+    cache:
+        Explicit :class:`~repro.tune.cache.TuningCache`; defaults to the
+        shared cache for ``REPRO_TUNE_CACHE``.
+    repeats:
+        Timed repetitions per lane (best-of); one additional warm-up run
+        is not timed.
+    workspace:
+        Optional :class:`~repro.parallel.workspace.Workspace` the
+        measurement runs draw scratch from (``"tune."``-prefixed slots,
+        which callers release afterwards).
+    force:
+        Re-measure even on a cache hit.
     """
     from repro.batch.mttkrp import _validate
 
@@ -137,7 +172,7 @@ def autotune_batched(
     if not force:
         record = store.get(key)
         if record is not None:
-            if record.label in batched_candidate_labels():
+            if record.method in batched_candidate_labels():
                 tracer.add_counter("tune.cache_hit", 1)
                 return record
             # A stale or foreign entry (e.g. a single-tensor method
@@ -163,11 +198,6 @@ def autotune_batched(
                 threads, repeats, workspace,
             )
     winner = min(candidates, key=lambda c: times[c.label])
-    record = TuneRecord(
-        method=winner.method,
-        kwargs=winner.kwargs_dict(),
-        times=times,
-        source="measured",
-    )
+    record = TuneRecord(method=winner.method, times=times, source="measured")
     store.put(key, record)
     return record

@@ -1,11 +1,12 @@
-"""Persisted tuning cache: measured kernel picks keyed by configuration.
+"""Persisted tuning cache: measured batched-lane picks keyed by configuration.
 
-The autotuner's measurements are only worth their cost if they are paid
-once.  :class:`TuningCache` maps a :class:`TuneKey` — the full set of
-inputs that can change which MTTKRP kernel wins: tensor shape, rank,
-output mode, worker count, dtype and batch size — to a
-:class:`TuneRecord` holding the winning method, its keyword arguments and
-the measured candidate times, and persists the mapping as one JSON file.
+The batched tuner's measurements (:mod:`repro.tune.batched`) are only
+worth their cost if they are paid once.  :class:`TuningCache` maps a
+:class:`TuneKey` — the full set of inputs that can change which lane
+wins: tensor shape, rank, output mode, worker count, dtype and batch
+size — to a :class:`TuneRecord` holding the winning lane and the
+measured candidate times, and persists the mapping as one JSON file.
+:func:`repro.serve.scheduler.batching_pays` reads the same records.
 
 File handling rules (all covered by ``tests/test_tune_cache.py``):
 
@@ -29,10 +30,14 @@ Schema (version ``2``; version ``1`` keys also named an execution
 backend, so a version-1 file loads as an empty cache)::
 
     {"version": 2,
-     "entries": {"<key-string>": {"method": "twostep",
-                                  "kwargs": {"side": "left"},
-                                  "times": {"onestep": 1.2e-4, ...},
+     "entries": {"<key-string>": {"method": "batched",
+                                  "times": {"batched": 1.2e-4, ...},
                                   "source": "measured"}}}
+
+Files written by earlier versions also hold single-tensor (``batch=1``)
+records with a ``"kwargs"`` field; they load without a warning, the
+``kwargs`` are ignored (and dropped when the file is next written), and
+no lookup of this package reads those records.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.core.dispatch import KERNELS
 
 __all__ = [
     "TuneKey",
@@ -68,12 +71,10 @@ class TuneCacheWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TuneKey:
-    """Everything that can change which kernel is fastest.
+    """Everything that can change which batched lane is fastest.
 
     ``batch`` is the number of stacked same-shape tensors the decision
-    was measured for (:mod:`repro.tune.batched`); single-tensor kernels
-    keep the default of 1, so their keys are unaffected by fleet-sized
-    entries sharing the cache.
+    was measured for.
     """
 
     shape: tuple[int, ...]
@@ -119,44 +120,23 @@ class TuneRecord:
     Attributes
     ----------
     method:
-        The winning method name (a member of
-        :data:`repro.core.dispatch.MTTKRP_METHODS`).
-    kwargs:
-        Method keyword arguments that were part of the winning candidate
-        (e.g. ``{"side": "left"}`` for the 2-step orderings).
+        The winning lane (``"batched"`` or ``"batched-loop"``).
     times:
-        Measured best-of-repeats seconds per candidate label; empty for
-        degenerate (unmeasured) decisions.
+        Measured best-of-repeats seconds per lane; empty for degenerate
+        (unmeasured) decisions.
     source:
         ``"measured"`` for a microbenchmark decision, ``"degenerate"``
-        when every candidate collapses to the same kernel (2-way tensors)
-        and measurement was skipped, ``"prior"`` when only the machine
-        model ranked the single surviving candidate.
+        when both lanes are the same calls (one item) and measurement
+        was skipped.
     """
 
     method: str
-    kwargs: dict = field(default_factory=dict)
     times: dict = field(default_factory=dict)
     source: str = "measured"
-
-    @property
-    def label(self) -> str:
-        """Replayable method spec (``"twostep:left"`` pins the ordering).
-
-        Accepted verbatim by :func:`repro.core.dispatch.mttkrp` and the
-        per-mode ``method`` list of :func:`repro.cpd.cp_als.cp_als`.
-        """
-        spec = KERNELS.get(self.method)
-        if spec is not None:
-            for label, kwargs in spec.labels():
-                if kwargs and kwargs.items() <= self.kwargs.items():
-                    return label
-        return self.method
 
     def to_json(self) -> dict:
         return {
             "method": self.method,
-            "kwargs": dict(self.kwargs),
             "times": {k: float(v) for k, v in self.times.items()},
             "source": self.source,
         }
@@ -167,7 +147,6 @@ class TuneRecord:
             raise ValueError(f"malformed tune record: {obj!r}")
         return cls(
             method=str(obj["method"]),
-            kwargs=dict(obj.get("kwargs", {})),
             times={str(k): float(v) for k, v in obj.get("times", {}).items()},
             source=str(obj.get("source", "measured")),
         )
@@ -225,7 +204,7 @@ class TuningCache:
             )
             return {}
 
-    def _save_locked(self, merge: bool = True) -> None:
+    def _save_locked(self) -> None:
         """Merge-and-replace the on-disk file (caller holds ``self._lock``).
 
         Concurrency is layered: ``self._lock`` serializes writers sharing
@@ -241,15 +220,12 @@ class TuningCache:
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         with self._writer_flock(directory):
-            if merge:
-                # Merge with what is on disk so a concurrent writer of
-                # *other* keys is not clobbered; our own entries win on
-                # conflict.  ``clear`` opts out — there the on-disk state
-                # is exactly what must be discarded.
-                merged = self._read_file()
-                merged.update(self._entries)
-                self._entries = merged
-            merged = self._entries
+            # Merge with what is on disk so a concurrent writer of
+            # *other* keys is not clobbered; our own entries win on
+            # conflict.
+            merged = self._read_file()
+            merged.update(self._entries)
+            self._entries = merged
             payload = {
                 "version": _SCHEMA_VERSION,
                 "entries": {k: r.to_json() for k, r in merged.items()},
@@ -299,28 +275,6 @@ class TuningCache:
         with self._lock:
             self._entries[key.to_str()] = record
             self._save_locked()
-
-    def reload(self) -> None:
-        """Re-read the backing file (picks up other processes' writes)."""
-        with self._lock:
-            if self.path is not None:
-                self._entries = self._read_file()
-
-    def clear(self, *, delete_file: bool = False) -> None:
-        with self._lock:
-            self._entries.clear()
-            if self.path is not None:
-                if delete_file:
-                    try:
-                        os.unlink(self.path)
-                    except OSError:
-                        pass
-                else:
-                    self._save_locked(merge=False)
-
-    def entries(self) -> dict[str, TuneRecord]:
-        with self._lock:
-            return dict(self._entries)
 
     def __len__(self) -> int:
         with self._lock:

@@ -43,10 +43,10 @@ def test_analyzer_sees_the_whole_tree():
         "pool.py", "reduction.py", "mttkrp_onestep.py", "workspace.py",
         "dimtree.py",
     } <= names
-    # The autotuner tree is linted too (and, per the suppression
+    # The batched-tuner tree is linted too (and, per the suppression
     # inventory above, contributes zero suppressions of its own).
     tune_files = {f.name for f in files if f.parent.name == "tune"}
-    assert {"tuner.py", "cache.py", "cli.py"} <= tune_files
+    assert {"batched.py", "cache.py"} <= tune_files
 
 
 def test_cli_strict_run_is_clean():

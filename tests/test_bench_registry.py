@@ -19,7 +19,7 @@ from repro.bench.schema import load_results, validate_record
 
 EXPECTED = {
     "fig4", "fig5", "fig6", "fig7", "fig8",
-    "dimtree", "autotune", "pool-overhead", "ablations",
+    "dimtree", "pool-overhead", "ablations",
 }
 
 

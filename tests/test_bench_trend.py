@@ -223,9 +223,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestMigration:
-    # results/{dimtree,tune}.bench.json were converted once from the
-    # legacy layouts; trend must keep loading them as comparable
-    # baselines, with their provenance intact.
+    # results/dimtree.bench.json was converted once from the legacy
+    # layout; trend must keep loading it as a comparable baseline, with
+    # its provenance intact.
     def _history(self):
         return load_history(os.path.join(REPO_ROOT, "results"))
 
@@ -235,18 +235,16 @@ class TestMigration:
         baselines = select_baselines(history, "best")
         # the legacy 1-CPU container records must be trend-comparable
         # with current-suite case ids on the same host class
-        assert ("autotune", "cold", "x86_64-1cpu") in baselines
-        assert ("autotune", "policy/auto", "x86_64-1cpu") in baselines
         assert ("dimtree", "cpals-3D/per-mode/T1", "x86_64-1cpu") in baselines
         assert ("dimtree", "node/batched", "x86_64-1cpu") in baselines
 
     def test_migrated_context_keeps_provenance(self):
         history = self._history()
-        rec = next(r for r in history if r["benchmark"] == "autotune")
+        rec = next(r for r in history if r["benchmark"] == "dimtree")
         assert rec["context"]["source"] == "migrated"
-        assert rec["context"]["legacy_file"] == "BENCH_tune.json"
+        assert rec["context"]["legacy_file"] == "BENCH_dimtree.json"
 
     def test_committed_results_dir_is_migrated(self):
         # the repo's own results/ must already hold the normalized files
         names = {r["benchmark"] for r in self._history()}
-        assert {"dimtree", "autotune"} <= names
+        assert "dimtree" in names

@@ -125,7 +125,7 @@ def _traced_strategy(X, **kwargs):
 
 class TestModeStrategy:
     """``mode_strategy="auto"``: the dimension tree unless a kernel is
-    pinned (named method, per-mode list, tuner) or the order is 2."""
+    pinned (named method or per-mode list) or the order is 2."""
 
     @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
     def test_default_runs_dimension_tree(self, shape):
@@ -142,21 +142,13 @@ class TestModeStrategy:
         [
             ((6, 5, 4), {"method": "onestep"}),
             ((6, 5, 4), {"method": ["onestep", "twostep", "auto"]}),
-            ((6, 5, 4), {"tune": True}),
             ((6, 5), {}),
             ((6, 5, 4), {"mode_strategy": "per-mode"}),
         ],
-        ids=["onestep", "per-mode-list", "tune", "order-2", "explicit"],
+        ids=["onestep", "per-mode-list", "order-2", "explicit"],
     )
-    def test_pinned_or_order_two_runs_per_mode(self, shape, kwargs, monkeypatch):
-        from repro.tune import reset_cache
-
-        monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
-        reset_cache()
-        try:
-            strategy, names = _traced_strategy(random_tensor(shape, rng=2), **kwargs)
-        finally:
-            reset_cache()
+    def test_pinned_or_order_two_runs_per_mode(self, shape, kwargs):
+        strategy, names = _traced_strategy(random_tensor(shape, rng=2), **kwargs)
         assert strategy == "per-mode"
         assert not any(name.startswith("partial[") for name in names)
         assert sum(name.startswith("mttkrp.") for name in names) == 2 * len(shape)
@@ -225,3 +217,42 @@ class TestErrors:
             _ = res.final_fit
         with pytest.raises(ValueError):
             _ = res.mean_iteration_time
+
+
+class TestMethodValidation:
+    """``method=`` is checked once, up front, by the same check serve
+    admission uses (:func:`repro.core.dispatch.check_method`)."""
+
+    SHAPE = (6, 5, 4, 3)
+
+    @pytest.fixture
+    def tensor(self):
+        return random_tensor(self.SHAPE, rng=11)
+
+    def test_method_list_wrong_length_raises(self, tensor):
+        with pytest.raises(ValueError, match="per-mode methods"):
+            cp_als(tensor, 2, n_iter_max=1, rng=0,
+                   method=["onestep", "baseline"])
+
+    def test_method_list_with_dimtree_strategy_raises(self, tensor):
+        with pytest.raises(ValueError, match="per-mode"):
+            cp_als(tensor, 2, n_iter_max=1, rng=0,
+                   method=["onestep"] * tensor.ndim,
+                   mode_strategy="dimtree")
+
+    @pytest.mark.parametrize("method", [
+        "autotune", "no-such-kernel", ["onestep", "autotune", "auto", "auto"],
+    ])
+    def test_unknown_method_raises_before_iterating(self, tensor, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            cp_als(tensor, 2, n_iter_max=1, rng=0, method=method)
+
+    def test_explicit_method_list_works(self, tensor):
+        methods = ["onestep", "twostep:left", "dimtree", "baseline"]
+        result = cp_als(
+            tensor, 2, n_iter_max=2, tol=0.0, rng=0, method=methods
+        )
+        reference = cp_als(
+            tensor, 2, n_iter_max=2, tol=0.0, rng=0, method="onestep"
+        )
+        assert result.fits == pytest.approx(reference.fits, abs=1e-12)

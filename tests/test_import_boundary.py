@@ -5,7 +5,8 @@ serving run: no ``scipy`` (needed only by ``cp_opt``, ``cp_wopt`` and
 ``factor_match_score``, which import it on first call) and no
 ``repro.analysis`` (the static analyzer; the runtime's write-set
 sanitizer lives in ``repro.parallel.sanitizer``).  The analyzer itself
-must run where only numpy is installed.
+must run where only numpy is installed.  A traced MTTKRP call imports
+nothing either, so no import lands inside its ``mttkrp.*`` span.
 
 Every check runs in a fresh interpreter, because the test process has
 long since imported both.
@@ -116,3 +117,24 @@ def test_analyzer_cli_runs_without_scipy():
         " alter_sys=True)\n"
     )
     assert "usage:" in proc.stdout
+
+
+@pytest.mark.parametrize("method", ["onestep", "twostep", "dimtree", "baseline"])
+def test_first_traced_call_imports_nothing(method):
+    # The kernel's own lazy imports happen on an untraced warm-up call;
+    # what is left is what tracing adds, and an import there would be
+    # charged to the first traced call's span (its analytic cost record
+    # used to import repro.machine for the cache size).
+    proc = _run(
+        "import json, sys\n"
+        "import repro.obs as obs\n"
+        "from repro import mttkrp, random_factors, random_tensor\n"
+        "X = random_tensor((6, 5, 4), rng=0)\n"
+        "U = random_factors((6, 5, 4), 3, rng=1)\n"
+        f"mttkrp(X, U, 1, method={method!r}, num_threads=2)\n"
+        "obs.enable()\n"
+        "before = set(sys.modules)\n"
+        f"mttkrp(X, U, 1, method={method!r}, num_threads=2)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert json.loads(proc.stdout) == []

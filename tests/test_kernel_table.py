@@ -6,18 +6,26 @@ Runtime checks for what the table promises by construction:
   ``mttkrp.<name>`` span, with the exact counter values pinned below;
   the dimension-tree row keeps its flop/byte counters on its nested
   partial-GEMM, KRP and node spans and its lower bound on the row span;
-* ``MTTKRP_METHODS``, the tuner's candidate set and the docs all follow
-  the table, so adding a kernel is a one-row edit.
+* ``MTTKRP_METHODS``, the method check and the docs all follow the
+  table, so adding a kernel is a one-row edit;
+* the row type carries only the fields that dispatch, the oracles and
+  the bench read.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import repro.obs as obs
-from repro.core.dispatch import KERNELS, MTTKRP_METHODS, mttkrp
+from repro.core.dispatch import (
+    KERNELS,
+    MTTKRP_METHODS,
+    KernelSpec,
+    check_method,
+    mttkrp,
+)
 from repro.tensor.generate import random_factors, random_tensor
-from repro.tune import candidate_set
 
 SHAPE, RANK = (3, 4, 5, 2), 3
 DOCS = Path(__file__).parent.parent / "docs" / "algorithms.md"
@@ -120,20 +128,34 @@ def test_every_pinned_case_is_a_table_row():
 
 
 def test_methods_are_the_table():
-    assert MTTKRP_METHODS == ("auto", "autotune", *KERNELS)
+    assert MTTKRP_METHODS == ("auto", *KERNELS)
     for name, spec in KERNELS.items():
         assert spec.name == name
 
 
-def test_tuner_candidates_are_the_tunable_eligible_rows():
-    for n in range(len(SHAPE)):
-        labels = [c.label for c in candidate_set(SHAPE, n)]
-        assert labels == [
-            label
-            for spec in KERNELS.values()
-            if spec.tunable and spec.eligible(SHAPE, n)
-            for label, _ in spec.labels()
-        ]
+def test_row_fields_are_the_ones_read():
+    # name/entry/eligible/variants: dispatch and the oracles (labels,
+    # eligibility); cost_kind: the traced runner and this file's pins.
+    assert [f.name for f in fields(KernelSpec)] == [
+        "name", "entry", "eligible", "variants", "cost_kind",
+    ]
+
+
+def test_method_check_accepts_exactly_the_table():
+    labels = [label for spec in KERNELS.values() for label, _ in spec.labels()]
+    for method in ("auto", *KERNELS, *labels):
+        assert check_method(method, 3) == [method] * 3
+    assert check_method(["auto", "twostep:left", "dimtree"], 3) == [
+        "auto", "twostep:left", "dimtree",
+    ]
+    for bad in ("autotune", "no-such-kernel", "twostep:sideways"):
+        with pytest.raises(ValueError, match="unknown method"):
+            check_method(bad, 3)
+        with pytest.raises(ValueError, match="unknown method"):
+            mttkrp(random_tensor(SHAPE, rng=0),
+                   random_factors(SHAPE, RANK, rng=1), 1, method=bad)
+    with pytest.raises(ValueError, match="expected 3 per-mode methods"):
+        check_method(["onestep", "onestep"], 3)
 
 
 def test_every_row_is_documented():

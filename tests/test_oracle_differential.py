@@ -3,9 +3,8 @@
 Draws ``REPRO_ORACLE_N`` (default 200) random configurations — order 2-5,
 ragged dimensions including 1-sized modes, ranks 1-8, float32/float64,
 C/F-contiguous and strided operands, 1-4 workers — and asserts that
-**every** public ``MTTKRP_METHODS`` entry (including the autotuner's
-pick, which is one of them) matches
-``mttkrp_baseline`` to a dtype-appropriate tolerance.
+**every** public ``MTTKRP_METHODS`` entry matches ``mttkrp_baseline``
+to a dtype-appropriate tolerance.
 
 Each configuration is derived from ``(MASTER_SEED, index)`` alone, so a
 failure is replayable in isolation: the assertion message prints the
@@ -30,17 +29,6 @@ pytestmark = pytest.mark.tune
 
 MASTER_SEED = 20180224  # PPoPP'18
 N_CONFIGS = int(os.environ.get("REPRO_ORACLE_N", "200"))
-
-
-@pytest.fixture(autouse=True)
-def _isolated_tune_cache(tmp_path, monkeypatch):
-    """Each test run tunes against its own cache file."""
-    from repro.tune import reset_cache
-
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-    reset_cache()
-    yield
-    reset_cache()
 
 
 @dataclass(frozen=True)
@@ -171,20 +159,3 @@ def test_draws_cover_the_advertised_space():
     assert {c.rank for c in configs} >= {1, 8}
     assert N_CONFIGS >= 200 or "REPRO_ORACLE_N" in os.environ
 
-
-def test_autotune_pick_is_replayable():
-    """The tuner's recorded pick, replayed by its label, matches both the
-    autotune result and the baseline."""
-    cfg = draw_config(3)
-    X, U = build_operands(cfg)
-    from repro.tune import autotune
-
-    for n in range(X.ndim):
-        record = autotune(X, U, n, num_threads=cfg.num_threads)
-        via_autotune = mttkrp(
-            X, U, n, method="autotune", num_threads=cfg.num_threads
-        )
-        via_label = mttkrp(
-            X, U, n, method=record.label, num_threads=cfg.num_threads,
-        )
-        assert np.array_equal(via_autotune, via_label)

@@ -284,6 +284,40 @@ def test_arena_budget_rejected():
     assert err.requested > err.allowed == 16
 
 
+@pytest.mark.parametrize("method", ["no-such-kernel", "autotune"])
+def test_unknown_method_rejected_at_submit(method, tmp_path):
+    # Before admission checked it, such a job was dispatched and failed
+    # in the worker with "unknown method".
+    from repro.io import save_tensor
+
+    ref = tmp_path / "t.npz"
+    save_tensor(ref, small_tensor(3))
+    with JobServer(ServeConfig(workers=1, batching=False)) as server:
+        server.submit(JobSpec(rank=2, tensor=small_tensor(1), n_iter_max=2)
+                      ).result(timeout=30.0)
+        log, depth = server.dispatch_log(), server.stats()["queue_depth"]
+        for spec in (
+            JobSpec(rank=2, tensor=small_tensor(2), method=method),
+            JobSpec(rank=2, tensor=small_tensor(2),
+                    method=["onestep", method, "auto"]),
+            JobSpec(rank=2, tensor_ref=str(ref), method=method),
+        ):
+            with pytest.raises(AdmissionError) as excinfo:
+                server.submit(spec)
+            assert excinfo.value.field == "method"
+            assert "unknown method" in str(excinfo.value)
+        assert server.dispatch_log() == log
+        assert server.stats()["queue_depth"] == depth
+
+
+def test_method_list_length_checked_at_admission():
+    spec = JobSpec(rank=2, tensor=np.ones((3, 3, 3)),
+                   method=["onestep", "auto"])
+    err = _reject(spec)
+    assert err.field == "method"
+    assert "expected 3 per-mode methods" in str(err)
+
+
 def test_rejections_never_touch_queue_or_workers():
     # One rejection of each kind, back to back on the same server.
     for spec in (
@@ -293,6 +327,7 @@ def test_rejections_never_touch_queue_or_workers():
         JobSpec(rank=2, tensor_ref="/no/such/file.npz"),
         JobSpec(rank=2, tensor=np.ones((3, 3)), num_threads=1_000_000),
         JobSpec(rank=4, tensor=np.ones((8, 8, 8)), arena_bytes=16),
+        JobSpec(rank=2, tensor=np.ones((3, 3)), method="no-such-kernel"),
     ):
         _reject(spec)
 

@@ -3,9 +3,10 @@
 Covers the failure modes a persisted cache must absorb: corrupt or
 truncated files fall back to re-measurement instead of crashing, so do
 files at an older schema, keys separate dtype, concurrent writers land
-complete files via
-write-to-temp + atomic rename, and a cache written by one process is
-served (with zero measurements) in another.
+complete files via write-to-temp + atomic rename, a cache written by
+one process is served (with zero measurements) in another, and a
+version-2 file from before the single-tensor tuner was removed still
+loads cleanly and drives the same coalescing decisions.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.tensor.generate import random_factors, random_tensor
+from repro.batch import BatchedTensor, mttkrp_batched
 from repro.tune import (
     TuneCacheWarning,
     TuneKey,
     TuneRecord,
     TuningCache,
-    autotune,
+    autotune_batched,
     default_cache_path,
     get_cache,
     reset_cache,
 )
+from repro.util import prod
 
 pytestmark = pytest.mark.tune
 
@@ -40,15 +42,17 @@ pytestmark = pytest.mark.tune
 def _key(**overrides) -> TuneKey:
     base = dict(
         shape=(4, 5, 6), rank=3, mode=1, num_threads=2, dtype="float64",
+        batch=4,
     )
     base.update(overrides)
     return TuneKey.make(**base)
 
 
-def _problem(shape=(4, 5, 6), rank=3, seed=0):
+def _problem(shape=(4, 5, 6), rank=3, seed=0, batch=4):
+    rng = np.random.default_rng(seed)
     return (
-        random_tensor(shape, rng=seed),
-        random_factors(shape, rank, rng=seed + 1),
+        BatchedTensor(rng.standard_normal((batch, prod(shape))), shape),
+        [rng.standard_normal((batch, s, rank)) for s in shape],
     )
 
 
@@ -57,30 +61,29 @@ class TestRoundTrip:
         path = tmp_path / "tune.json"
         cache = TuningCache(path)
         record = TuneRecord(
-            method="twostep", kwargs={"side": "left"},
-            times={"twostep:left": 1e-4, "onestep": 2e-4},
+            method="batched-loop",
+            times={"batched-loop": 1e-4, "batched": 2e-4},
         )
         cache.put(_key(), record)
 
         fresh = TuningCache(path)
         got = fresh.get(_key())
         assert got is not None
-        assert got.method == "twostep"
-        assert got.kwargs == {"side": "left"}
+        assert got.method == "batched-loop"
         assert got.times == pytest.approx(record.times)
-        assert got.label == "twostep:left"
+        assert got.source == "measured"
 
     def test_file_is_valid_schema_json(self, tmp_path):
         path = tmp_path / "tune.json"
-        TuningCache(path).put(_key(), TuneRecord(method="onestep"))
+        TuningCache(path).put(_key(), TuneRecord(method="batched"))
         raw = json.loads(path.read_text())
         assert raw["version"] == 2
         assert _key().to_str() in raw["entries"]
 
     def test_in_memory_when_no_path(self):
         cache = TuningCache(None)
-        cache.put(_key(), TuneRecord(method="onestep"))
-        assert cache.get(_key()).method == "onestep"
+        cache.put(_key(), TuneRecord(method="batched"))
+        assert cache.get(_key()).method == "batched"
         assert cache.path is None
 
 
@@ -106,8 +109,8 @@ class TestTolerantLoads:
         # ... and a put rewrites a valid file over the wreckage.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TuneCacheWarning)
-            cache.put(_key(), TuneRecord(method="onestep"))
-        assert TuningCache(path).get(_key()).method == "onestep"
+            cache.put(_key(), TuneRecord(method="batched"))
+        assert TuningCache(path).get(_key()).method == "batched"
 
     def test_autotune_remeasures_over_corrupt_cache(self, tmp_path):
         """End to end: a corrupt cache file must not break autotuning."""
@@ -116,8 +119,9 @@ class TestTolerantLoads:
         with pytest.warns(TuneCacheWarning):
             cache = TuningCache(path)
         X, U = _problem()
-        record = autotune(X, U, 1, num_threads=1, cache=cache, repeats=1)
-        assert record.method in ("onestep", "twostep", "dimtree", "baseline")
+        record = autotune_batched(X, U, 1, num_threads=1, cache=cache,
+                                  repeats=1)
+        assert record.method in ("batched", "batched-loop")
         assert record.times  # measured, not served from the broken file
         assert json.loads(path.read_text())["version"] == 2
 
@@ -129,11 +133,11 @@ class TestTolerantLoads:
         X, U = _problem()
         old_key = (
             "shape=4x5x6;rank=3;mode=1;threads=1;backend=thread;"
-            "dtype=float64;batch=1"
+            "dtype=float64;batch=4"
         )
         path.write_text(json.dumps({
             "version": 1,
-            "entries": {old_key: {"method": "baseline", "kwargs": {},
+            "entries": {old_key: {"method": "batched-loop", "kwargs": {},
                                   "times": {}, "source": "measured"}},
         }))
         with warnings.catch_warnings(record=True) as caught:
@@ -142,8 +146,8 @@ class TestTolerantLoads:
             assert len(cache) == 0
             tracer = obs.enable()
             try:
-                record = autotune(X, U, 1, num_threads=1, cache=cache,
-                                  repeats=1)
+                record = autotune_batched(X, U, 1, num_threads=1,
+                                          cache=cache, repeats=1)
             finally:
                 obs.disable()
         assert [w.category for w in caught] == [TuneCacheWarning]
@@ -153,7 +157,7 @@ class TestTolerantLoads:
         raw = json.loads(path.read_text())
         assert raw["version"] == 2
         assert list(raw["entries"]) == [
-            TuneKey.make(X.shape, 3, 1, 1, "float64").to_str()
+            TuneKey.make(X.shape, 3, 1, 1, "float64", batch=4).to_str()
         ]
 
     def test_missing_file_is_empty(self, tmp_path):
@@ -164,10 +168,10 @@ class TestTolerantLoads:
 class TestKeySeparation:
     def test_dtype_distinguishes_entries(self, tmp_path):
         cache = TuningCache(tmp_path / "tune.json")
-        cache.put(_key(dtype="float64"), TuneRecord(method="twostep"))
-        cache.put(_key(dtype="float32"), TuneRecord(method="onestep"))
-        assert cache.get(_key(dtype="float64")).method == "twostep"
-        assert cache.get(_key(dtype="float32")).method == "onestep"
+        cache.put(_key(dtype="float64"), TuneRecord(method="batched-loop"))
+        cache.put(_key(dtype="float32"), TuneRecord(method="batched"))
+        assert cache.get(_key(dtype="float64")).method == "batched-loop"
+        assert cache.get(_key(dtype="float32")).method == "batched"
         assert len(cache) == 2
 
     def test_every_key_component_matters(self):
@@ -178,7 +182,7 @@ class TestKeySeparation:
             _key(mode=2),
             _key(num_threads=3),
             _key(dtype="float32"),
-            _key(batch=4),
+            _key(batch=8),
         ]
         strs = {base.to_str()} | {v.to_str() for v in variants}
         assert len(strs) == 7
@@ -199,7 +203,7 @@ class TestConcurrency:
                 for j in range(per_thread):
                     cache.put(
                         _key(mode=0, rank=worker * per_thread + j + 1),
-                        TuneRecord(method="onestep"),
+                        TuneRecord(method="batched"),
                     )
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -230,11 +234,10 @@ class TestConcurrency:
             else "src"
         )
         script = (
-            "from repro.tensor.generate import random_tensor, random_factors\n"
-            "from repro.tune import autotune, get_cache\n"
-            "X = random_tensor((4, 5, 6), rng=0)\n"
-            "U = random_factors((4, 5, 6), 3, rng=1)\n"
-            "r = autotune(X, U, 1, num_threads=1, repeats=1)\n"
+            "from tests.test_tune_cache import _problem\n"
+            "from repro.tune import autotune_batched, get_cache\n"
+            "X, U = _problem()\n"
+            "r = autotune_batched(X, U, 1, num_threads=1, repeats=1)\n"
             "assert get_cache().path is not None\n"
             "print(r.method)\n"
         )
@@ -250,7 +253,7 @@ class TestConcurrency:
         cache = TuningCache(path)
         tracer = obs.enable()
         try:
-            record = autotune(X, U, 1, num_threads=1, cache=cache)
+            record = autotune_batched(X, U, 1, num_threads=1, cache=cache)
         finally:
             obs.disable()
         assert record.method == child_pick
@@ -266,7 +269,7 @@ class TestGlobalCache:
         try:
             cache_a = get_cache()
             assert cache_a.path == str(a)
-            cache_a.put(_key(), TuneRecord(method="onestep"))
+            cache_a.put(_key(), TuneRecord(method="batched"))
             monkeypatch.setenv("REPRO_TUNE_CACHE", str(b))
             cache_b = get_cache()
             assert cache_b.path == str(b)
@@ -285,102 +288,129 @@ class TestGlobalCache:
 
 
 class TestStaleRecords:
-    """Persisted decisions whose method is no longer eligible for the key.
+    """Persisted decisions that name no batched lane.
 
     Cache files outlive code: an entry written by a different package
-    version may name a kernel that no longer exists.  Replaying it
-    verbatim used to make ``mttkrp(method="autotune")`` raise on a
+    version may name a lane that does not exist.  Replaying it verbatim
+    would make ``mttkrp_batched(method="autotune")`` fail on a
     configuration it could perfectly well compute; a stale entry must
-    instead warn once, fall back to re-measurement and be overwritten.
+    instead fall back to re-measurement and be overwritten.
     """
-
-    def _stale_file(self, path, shape, method, kwargs=None, mode=1):
-        key = TuneKey.make(shape, 3, mode, 1, "float64")
-        payload = {
-            "version": 2,
-            "entries": {
-                key.to_str(): {
-                    "method": method,
-                    "kwargs": kwargs or {},
-                    "times": {},
-                    "source": "measured",
-                }
-            },
-        }
-        path.write_text(json.dumps(payload))
-        return key
 
     def test_unknown_method_falls_back_to_measurement(
         self, tmp_path, monkeypatch
     ):
-        from repro.core.dispatch import mttkrp
-        from repro.core.mttkrp_baseline import mttkrp_baseline
+        from repro.batch.mttkrp import mttkrp_batched_loop
 
-        # "fused-v99" was never a kernel; "blocked" is one this package
-        # used to ship and has since deleted.  Both are misses.
-        for stale, shape in (("fused-v99", (5, 7, 4)), ("blocked", (5, 6, 4))):
-            path = tmp_path / f"{stale}.json"
-            key = self._stale_file(path, shape, stale)
-            monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
-            reset_cache()
-            try:
-                X, U = _problem(shape=shape)
-                tracer = obs.enable()
-                try:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        out = mttkrp(
-                            X, U, 1, method="autotune",
-                            num_threads=1,
-                        )
-                finally:
-                    obs.disable()
-                stale_warnings = [
-                    w for w in caught
-                    if issubclass(w.category, TuneCacheWarning)
-                ]
-                assert len(stale_warnings) == 1
-                assert repr(stale) in str(stale_warnings[0].message)
-                np.testing.assert_allclose(
-                    out, mttkrp_baseline(X, U, 1), atol=1e-10
-                )
-                assert obs.counter_total(tracer, "tune.cache_stale") == 1
-                assert obs.counter_total(tracer, "tune.measure") > 0
-                # The stale entry was overwritten with a runnable decision.
-                replaced = get_cache().get(key)
-                assert replaced is not None and replaced.method != stale
-                # Second call: clean hit, no measurement, no further warning.
-                tracer2 = obs.enable()
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error", TuneCacheWarning)
-                        mttkrp(
-                            X, U, 1, method="autotune",
-                            num_threads=1,
-                        )
-                finally:
-                    obs.disable()
-                assert obs.counter_total(tracer2, "tune.cache_hit") == 1
-                assert obs.counter_total(tracer2, "tune.measure") == 0
-            finally:
-                reset_cache()
-
-    def test_ineligible_twostep_for_external_mode_is_stale(self, tmp_path):
-        # A 2-step ordering recorded for an external-mode key is not in
-        # that mode's candidate set and would emit the degenerate-kwargs
-        # warning (or worse) on replay — it must be re-measured instead.
-        shape = (6, 4, 5)
+        X, U = _problem(shape=(5, 7, 4))
         path = tmp_path / "tune.json"
-        key = self._stale_file(
-            path, shape, "twostep", kwargs={"side": "left"}, mode=0
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TuneCacheWarning)
-            cache = TuningCache(path)
-        X, U = _problem(shape=shape)
-        with pytest.warns(TuneCacheWarning, match="twostep:left"):
-            record = autotune(
-                X, U, 0, num_threads=1, cache=cache, repeats=1,
+        key = TuneKey.make(X.shape, 3, 1, 1, "float64", batch=X.batch)
+        path.write_text(json.dumps({"version": 2, "entries": {
+            key.to_str(): {"method": "fused-v99", "times": {},
+                           "source": "measured"},
+        }}))
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
+        reset_cache()
+        try:
+            tracer = obs.enable()
+            try:
+                out = mttkrp_batched(X, U, 1, method="autotune",
+                                     num_threads=1)
+            finally:
+                obs.disable()
+            np.testing.assert_array_equal(
+                out, mttkrp_batched_loop(X, U, 1, num_threads=1)
             )
-        assert record.label in ("onestep", "dimtree", "baseline")
-        assert cache.get(key).label == record.label
+            assert obs.counter_total(tracer, "tune.cache_stale") == 1
+            assert obs.counter_total(tracer, "tune.measure") > 0
+            # The stale entry was overwritten with a runnable decision.
+            assert get_cache().get(key).method in ("batched", "batched-loop")
+            # Second call: clean hit, no measurement.
+            tracer2 = obs.enable()
+            try:
+                mttkrp_batched(X, U, 1, method="autotune", num_threads=1)
+            finally:
+                obs.disable()
+            assert obs.counter_total(tracer2, "tune.cache_hit") == 1
+            assert obs.counter_total(tracer2, "tune.measure") == 0
+        finally:
+            reset_cache()
+
+
+# A version-2 file as the removed single-tensor tuner left it: per-mode
+# (batch=1) records, with kwargs, a variant pick and an order-2
+# "degenerate" record, next to batched-lane records.
+_LEGACY_FILE = {
+    "version": 2,
+    "entries": {
+        "shape=4x5x6;rank=3;mode=0;threads=1;dtype=float64;batch=1": {
+            "kwargs": {}, "method": "baseline", "source": "measured",
+            "times": {"baseline": 5.9e-05, "dimtree": 2.3e-04,
+                      "onestep": 6.3e-05}},
+        "shape=4x5x6;rank=3;mode=1;threads=1;dtype=float64;batch=1": {
+            "kwargs": {"side": "left"}, "method": "twostep",
+            "source": "measured",
+            "times": {"baseline": 8.2e-05, "twostep:left": 7.4e-05}},
+        "shape=4x5x6;rank=3;mode=2;threads=1;dtype=float64;batch=1": {
+            "kwargs": {}, "method": "onestep", "source": "prior",
+            "times": {"onestep": 5.1e-05}},
+        "shape=5x4;rank=3;mode=0;threads=2;dtype=float64;batch=1": {
+            "kwargs": {}, "method": "onestep", "source": "degenerate",
+            "times": {}},
+        "shape=4x5x6;rank=3;mode=0;threads=1;dtype=float64;batch=4": {
+            "kwargs": {}, "method": "batched-loop", "source": "measured",
+            "times": {"batched": 2e-4, "batched-loop": 1e-4}},
+        "shape=4x5x6;rank=3;mode=0;threads=1;dtype=float64;batch=8": {
+            "kwargs": {}, "method": "batched", "source": "measured",
+            "times": {"batched": 1e-4, "batched-loop": 2e-4}},
+        "shape=5x4;rank=3;mode=0;threads=2;dtype=float64;batch=64": {
+            "kwargs": {}, "method": "batched-loop", "source": "measured",
+            "times": {"batched": 3e-4, "batched-loop": 2e-4}},
+    },
+}
+
+# ((shape, num_threads), group_size) -> batching_pays, as the code
+# before the single-tensor tuner's removal answered for _LEGACY_FILE.
+_LEGACY_DECISIONS = {
+    (((4, 5, 6), 1), 1): False,
+    (((4, 5, 6), 1), 2): True,
+    (((4, 5, 6), 1), 4): False,
+    (((4, 5, 6), 1), 8): True,
+    (((4, 5, 6), 1), 100): True,
+    (((5, 4), 2), 1): False,
+    (((5, 4), 2), 2): True,
+    (((5, 4), 2), 64): False,
+    (((5, 4), 2), 200): False,
+}
+
+
+class TestLegacyFile:
+    def test_loads_without_warning(self, tmp_path):
+        path = tmp_path / "tune.json"
+        path.write_text(json.dumps(_LEGACY_FILE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TuneCacheWarning)
+            cache = TuningCache(path)
+        assert len(cache) == len(_LEGACY_FILE["entries"])
+        record = cache.get(TuneKey.make((4, 5, 6), 3, 1, 1, "float64"))
+        assert record.method == "twostep" and record.source == "measured"
+
+    def test_batching_pays_decisions_unchanged(self, tmp_path, monkeypatch):
+        from repro.serve.scheduler import GroupKey, batching_pays
+
+        path = tmp_path / "tune.json"
+        path.write_text(json.dumps(_LEGACY_FILE))
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
+        reset_cache()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TuneCacheWarning)
+                got = {
+                    ((shape, T), size): batching_pays(
+                        GroupKey(shape, 3, "float64", 10, 1e-8, T), size
+                    )
+                    for (shape, T), size in _LEGACY_DECISIONS
+                }
+        finally:
+            reset_cache()
+        assert got == _LEGACY_DECISIONS
