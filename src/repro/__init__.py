@@ -10,8 +10,7 @@ Public surface
 --------------
 Tensors and factor matrices:
     :class:`~repro.tensor.DenseTensor`, :func:`~repro.tensor.random_tensor`,
-    :func:`~repro.tensor.from_kruskal`, :func:`~repro.tensor.ttv`,
-    :func:`~repro.tensor.ttm`.
+    :func:`~repro.tensor.from_kruskal`, :func:`~repro.tensor.ttv`.
 
 Khatri-Rao products (Algorithm 1):
     :func:`~repro.core.khatri_rao`, :func:`~repro.core.khatri_rao_parallel`,
@@ -49,14 +48,13 @@ from repro.core import (
     mttkrp_onestep,
     mttkrp_twostep,
 )
-from repro.cpd import KruskalTensor, TuckerTensor, cp_als, cp_nnhals, hosvd
+from repro.cpd import KruskalTensor, cp_als
 from repro.parallel import get_num_threads, num_threads, set_num_threads
 from repro.tensor import (
     DenseTensor,
     from_kruskal,
     multi_ttv,
     random_tensor,
-    ttm,
     ttv,
 )
 from repro.tensor.generate import random_factors
@@ -70,7 +68,6 @@ __all__ = [
     "from_kruskal",
     "ttv",
     "multi_ttv",
-    "ttm",
     "khatri_rao",
     "khatri_rao_naive",
     "khatri_rao_parallel",
@@ -79,10 +76,7 @@ __all__ = [
     "mttkrp_twostep",
     "mttkrp_baseline",
     "cp_als",
-    "cp_nnhals",
-    "hosvd",
     "KruskalTensor",
-    "TuckerTensor",
     "set_num_threads",
     "get_num_threads",
     "num_threads",

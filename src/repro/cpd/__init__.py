@@ -9,48 +9,22 @@ fMRI analysis examples.
 * :mod:`~repro.cpd.init` — random and HOSVD-flavoured initialization;
 * :mod:`~repro.cpd.cp_als` — the alternating-least-squares driver with
   per-phase timing (per-iteration times are Figure 7's measurement);
-* :mod:`~repro.cpd.diagnostics` — fit, factor match score, congruence;
-* :mod:`~repro.cpd.nncp` — nonnegative CP via HALS (extension);
-* :mod:`~repro.cpd.tucker` — (ST-)HOSVD / Tucker compression (extension);
-* :mod:`~repro.cpd.gradient` — CP gradients + L-BFGS CP-OPT (extension,
-  demonstrating the paper's point that gradient methods are
-  MTTKRP-bottlenecked too);
-* :mod:`~repro.cpd.missing` — CP-WOPT for missing data (the introduction's
-  prediction application);
-* :mod:`~repro.cpd.anomaly` — residual-based slice anomaly detection (the
-  introduction's anomaly-detection application).
+* :mod:`~repro.cpd.diagnostics` — fit, factor match score, congruence.
 """
 
-from repro.cpd.anomaly import anomaly_scores, detect_anomalies, slice_residual_norms
 from repro.cpd.cp_als import CPALSResult, cp_als
 from repro.cpd.diagnostics import factor_match_score, fit_score
-from repro.cpd.gradient import cp_gradient, cp_loss, cp_opt
 from repro.cpd.gram import gram_matrices, hadamard_of_grams
 from repro.cpd.init import initialize_factors
 from repro.cpd.kruskal import KruskalTensor
-from repro.cpd.missing import cp_wopt, random_mask
-from repro.cpd.nncp import NNCPResult, cp_nnhals
-from repro.cpd.tucker import TuckerTensor, hosvd
 
 __all__ = [
     "KruskalTensor",
     "cp_als",
     "CPALSResult",
-    "cp_nnhals",
-    "NNCPResult",
-    "cp_opt",
-    "cp_loss",
-    "cp_gradient",
-    "cp_wopt",
-    "random_mask",
-    "hosvd",
-    "TuckerTensor",
     "gram_matrices",
     "hadamard_of_grams",
     "initialize_factors",
     "factor_match_score",
     "fit_score",
-    "slice_residual_norms",
-    "anomaly_scores",
-    "detect_anomalies",
 ]

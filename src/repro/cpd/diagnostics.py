@@ -62,8 +62,10 @@ def factor_match_score(
     weight_penalty:
         Multiply each matched congruence by
         ``1 - |w_est - w_ref| / max(w_est, w_ref)``.
+
+    Needs scipy (``scipy.optimize.linear_sum_assignment``), which is not
+    a runtime dependency of ``repro``: it is imported on the first call.
     """
-    # scipy loads on first call only: no CP-ALS or serve path needs it.
     from scipy.optimize import linear_sum_assignment
 
     if estimated.rank != reference.rank:

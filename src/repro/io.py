@@ -6,9 +6,7 @@ tensors.  The format is plain numpy ``.npz`` with a small schema:
 
 * tensors: ``kind="dense-tensor"``, ``data`` (flat natural-layout buffer),
   ``shape``;
-* Kruskal models: ``kind="kruskal"``, ``weights``, ``factor_0..N-1``;
-* Tucker models: ``kind="tucker"``, ``core_data``, ``core_shape``,
-  ``factor_0..N-1``.
+* Kruskal models: ``kind="kruskal"``, ``weights``, ``factor_0..N-1``.
 
 Files written by this module are self-describing and load without any
 pickle (``allow_pickle=False`` throughout — safe to share).
@@ -21,7 +19,6 @@ import os
 import numpy as np
 
 from repro.cpd.kruskal import KruskalTensor
-from repro.cpd.tucker import TuckerTensor
 from repro.tensor.dense import DenseTensor
 
 __all__ = [
@@ -58,48 +55,26 @@ def load_tensor(path: str | os.PathLike) -> DenseTensor:
         return DenseTensor(f["data"], tuple(int(s) for s in f["shape"]))
 
 
-def save_model(
-    path: str | os.PathLike, model: KruskalTensor | TuckerTensor
-) -> None:
-    """Write a Kruskal or Tucker model to ``path`` (``.npz``)."""
-    if isinstance(model, KruskalTensor):
-        arrays = {
-            "kind": np.array("kruskal"),
-            "weights": model.weights,
-        }
-        for n, f in enumerate(model.factors):
-            arrays[f"factor_{n}"] = np.asarray(f)
-        np.savez_compressed(path, **arrays)
-    elif isinstance(model, TuckerTensor):
-        arrays = {
-            "kind": np.array("tucker"),
-            "core_data": model.core.data,
-            "core_shape": np.array(model.core.shape, dtype=np.int64),
-        }
-        for n, f in enumerate(model.factors):
-            arrays[f"factor_{n}"] = np.asarray(f)
-        np.savez_compressed(path, **arrays)
-    else:
+def save_model(path: str | os.PathLike, model: KruskalTensor) -> None:
+    """Write a Kruskal model to ``path`` (``.npz``)."""
+    if not isinstance(model, KruskalTensor):
         raise TypeError(
-            f"model must be a KruskalTensor or TuckerTensor, got "
-            f"{type(model).__name__}"
+            f"model must be a KruskalTensor, got {type(model).__name__}"
         )
+    arrays = {"kind": np.array("kruskal"), "weights": model.weights}
+    for n, f in enumerate(model.factors):
+        arrays[f"factor_{n}"] = np.asarray(f)
+    np.savez_compressed(path, **arrays)
 
 
-def load_model(path: str | os.PathLike) -> KruskalTensor | TuckerTensor:
-    """Read a model written by :func:`save_model` (kind auto-detected)."""
+def load_model(path: str | os.PathLike) -> KruskalTensor:
+    """Read a Kruskal model written by :func:`save_model`."""
     with np.load(path, allow_pickle=False) as f:
         kind = str(f["kind"])
+        if kind != "kruskal":
+            raise ValueError(f"{path!s} holds unknown kind {kind!r}")
         factor_keys = sorted(
             (k for k in f.files if k.startswith("factor_")),
             key=lambda k: int(k.split("_")[1]),
         )
-        factors = [f[k] for k in factor_keys]
-        if kind == "kruskal":
-            return KruskalTensor(factors, f["weights"])
-        if kind == "tucker":
-            core = DenseTensor(
-                f["core_data"], tuple(int(s) for s in f["core_shape"])
-            )
-            return TuckerTensor(core=core, factors=factors)
-        raise ValueError(f"{path!s} holds unknown kind {kind!r}")
+        return KruskalTensor([f[k] for k in factor_keys], f["weights"])

@@ -10,8 +10,7 @@ zero-copy numpy view:
   multi-index increment, linearize/delinearize);
 * :mod:`~repro.tensor.matricize` — explicit (reordering) unfoldings used by
   the baseline, and the view-based multi-mode matricizations;
-* :mod:`~repro.tensor.ttv` / :mod:`~repro.tensor.ttm` — tensor-times-vector
-  and tensor-times-matrix without reordering;
+* :mod:`~repro.tensor.ttv` — tensor-times-vector without reordering;
 * :mod:`~repro.tensor.generate` — random and planted-CP tensor generators.
 """
 
@@ -26,7 +25,6 @@ from repro.tensor.layout import (
     right_product,
 )
 from repro.tensor.matricize import unfold_explicit
-from repro.tensor.ttm import ttm
 from repro.tensor.ttv import multi_ttv, ttv
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "unfold_explicit",
     "ttv",
     "multi_ttv",
-    "ttm",
     "random_tensor",
     "from_kruskal",
 ]

@@ -12,7 +12,6 @@ from repro.core.dispatch import mttkrp
 from repro.core.krp import khatri_rao, khatri_rao_naive, krp_rows
 from repro.core.krp_parallel import khatri_rao_parallel
 from repro.tensor.dense import DenseTensor
-from repro.tensor.ttm import ttm
 from repro.tensor.ttv import ttv
 from tests.conftest import mttkrp_oracle
 
@@ -82,18 +81,6 @@ class TestContractionDtypes:
         np.testing.assert_allclose(
             out.to_ndarray(),
             np.einsum("abc,b->ac", X.to_ndarray(), v),
-            rtol=1e-5,
-        )
-
-    def test_ttm_float32(self):
-        rng = np.random.default_rng(4)
-        X = DenseTensor(rng.random((3, 4, 5)).astype(np.float32))
-        M = rng.random((4, 2)).astype(np.float32)
-        out = ttm(X, M, 1)
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(
-            out.to_ndarray(),
-            np.einsum("abc,bd->adc", X.to_ndarray(), M),
             rtol=1e-5,
         )
 

@@ -24,9 +24,6 @@ def test_examples_directory_populated():
         "algorithm_comparison.py",
         "scaling_study.py",
         "rank_selection.py",
-        "nonnegative_networks.py",
-        "missing_data.py",
-        "anomaly_detection.py",
     } <= names
 
 

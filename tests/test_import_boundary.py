@@ -1,12 +1,13 @@
 """Import boundary of the runtime package.
 
 ``import repro`` and ``import repro.serve`` load only what CP-ALS and
-serving run: no ``scipy`` (needed only by ``cp_opt``, ``cp_wopt`` and
-``factor_match_score``, which import it on first call) and no
+serving run: no ``scipy`` (a test dependency, needed only by
+``factor_match_score``, which imports it on first call) and no
 ``repro.analysis`` (the static analyzer; the runtime's write-set
-sanitizer lives in ``repro.parallel.sanitizer``).  The analyzer itself
-must run where only numpy is installed.  A traced MTTKRP call imports
-nothing either, so no import lands inside its ``mttkrp.*`` span.
+sanitizer lives in ``repro.parallel.sanitizer``).  The runtime and the
+analyzer must both run where only numpy is installed.  A traced MTTKRP
+call imports nothing either, so no import lands inside its ``mttkrp.*``
+span.
 
 Every check runs in a fresh interpreter, because the test process has
 long since imported both.
@@ -98,11 +99,29 @@ def test_first_factor_match_score_call_loads_scipy():
     assert float(proc.stdout) == expected
 
 
-def test_runtime_and_analyzer_import_without_scipy():
+def test_runtime_and_analyzer_import_without_scipy(tmp_path):
+    # Importing is not enough: a CP-ALS run, every kernel of the table
+    # and a model round trip must also work with numpy alone (any scipy
+    # import on the way raises).
     proc = _run(
         BLOCK_SCIPY
-        + "import repro, repro.serve, repro.analysis\n"
+        + "import numpy as np\n"
+        "import repro, repro.serve, repro.analysis\n"
         "assert repro.analysis.sanitize is not None\n"
+        "from repro import cp_als, mttkrp, random_factors, random_tensor\n"
+        "from repro.core.dispatch import KERNELS\n"
+        "from repro.io import load_model, save_model\n"
+        "X = random_tensor((6, 5, 4), rng=0)\n"
+        "U = random_factors(X.shape, 3, rng=1)\n"
+        "for name in KERNELS:\n"
+        "    assert mttkrp(X, U, 1, method=name).shape == (5, 3)\n"
+        "res = cp_als(X, 3, n_iter_max=3, rng=0)\n"
+        f"path = {str(tmp_path / 'model.npz')!r}\n"
+        "save_model(path, res.model)\n"
+        "back = load_model(path)\n"
+        "np.testing.assert_array_equal(back.weights, res.model.weights)\n"
+        "for a, b in zip(back.factors, res.model.factors):\n"
+        "    np.testing.assert_array_equal(a, b)\n"
         "print('ok')\n"
     )
     assert proc.stdout.strip() == "ok"

@@ -15,7 +15,6 @@ from repro.cpd.kruskal import KruskalTensor
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
 from repro.tensor.matricize import unfold_explicit
-from repro.tensor.ttm import ttm
 from repro.tensor.ttv import ttv
 from repro.util import prod
 
@@ -79,22 +78,6 @@ class TestContractionAlgebra:
             )
         else:
             assert np.isclose(a, b + 2.0 * c)
-
-    @given(shapes, st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_ttm_then_ttv_equals_ttv_of_product(self, shape, data):
-        """(X x_n M) x_n v == X x_n (M v): contraction composition."""
-        n = data.draw(st.integers(0, len(shape) - 1))
-        X = _tensor(shape, seed=9)
-        rng = np.random.default_rng(10)
-        M = rng.standard_normal((shape[n], 3))
-        v = rng.standard_normal(3)
-        left = ttv(ttm(X, M, n), v, n)
-        right = ttv(X, M @ v, n)
-        if isinstance(left, DenseTensor):
-            np.testing.assert_allclose(left.data, right.data, atol=1e-9)
-        else:
-            assert np.isclose(left, right)
 
     @given(shapes, st.integers(1, 4), st.data())
     @settings(max_examples=30, deadline=None)
