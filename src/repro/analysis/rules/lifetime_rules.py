@@ -1,17 +1,13 @@
 """Workspace buffer lifetime rule: RA008.
 
 A :class:`~repro.parallel.workspace.Workspace` hands out *scratch* whose
-validity is bounded by the arena's lifetime operations:
-
-* ``ws.release(prefix)`` drops every buffer whose slot name starts with
-  ``prefix`` — a local still referring to one of them aliases memory the
-  arena may hand to a different slot;
-* ``ws.close()`` (or leaving a ``with Workspace(...) as ws:`` block,
-  which closes it) drops everything.
+validity ends when the arena does: ``ws.close()`` (or leaving a
+``with Workspace(...) as ws:`` block, which closes it) drops every
+buffer.
 
 RA008 flags any *use* of a name acquired via ``ws.buffer(...)`` /
-``ws.private(...)`` after the acquiring arena released its slot prefix,
-closed, or left its ``with`` scope.  Purely flow-insensitive aliasing is
+``ws.private(...)`` after the acquiring arena closed or left its
+``with`` scope.  Purely flow-insensitive aliasing is
 out of scope; ordering is by source line within one function, matching
 how the arena is used in this codebase (linear setup/loop/teardown).
 """
@@ -62,11 +58,10 @@ def _literal_str(expr: ast.expr) -> str | None:
 class RA008WorkspaceLifetime(Rule):
     id = "RA008"
     severity = "error"
-    title = "workspace buffer used after release()/close()/with-scope exit"
+    title = "workspace buffer used after close()/with-scope exit"
     hint = (
-        "re-acquire the buffer from the workspace after a release, or move "
-        "the use before the lifetime boundary; a released slot's memory may "
-        "be re-handed to another slot"
+        "move the use before the lifetime boundary, or copy the buffer "
+        "out first; a closed arena no longer owns its buffers"
     )
 
     def check(self, tree: ast.Module, path: str) -> list[RawFinding]:
@@ -120,28 +115,14 @@ class RA008WorkspaceLifetime(Rule):
                             for s in node.body
                         )
                         with_scope_end[item.optional_vars.id] = end
-            # ``ws.release("prefix")`` / ``ws.close()``
+            # ``ws.close()``
             ac = _attr_call(node)
-            if ac is not None:
-                ws_name, meth, call = ac
-                if meth == "release":
-                    prefix = (_literal_str(call.args[0])
-                              if call.args else None)
-                    for a in acquired:
-                        if a.ws != ws_name or a.dead_after is not None:
-                            continue
-                        # Only a statically-provable prefix match kills a
-                        # buffer; dynamic prefixes or slots stay quiet.
-                        if (prefix is None or a.slot is None
-                                or not a.slot.startswith(prefix)):
-                            continue
+            if ac is not None and ac[1] == "close":
+                ws_name, _, call = ac
+                for a in acquired:
+                    if a.ws == ws_name and a.dead_after is None:
                         a.dead_after = call.lineno
-                        a.why = f"released by {ws_name}.release({prefix!r})"
-                elif meth == "close":
-                    for a in acquired:
-                        if a.ws == ws_name and a.dead_after is None:
-                            a.dead_after = call.lineno
-                            a.why = f"closed by {ws_name}.close()"
+                        a.why = f"closed by {ws_name}.close()"
 
         for ws_name, end in with_scope_end.items():
             for a in acquired:

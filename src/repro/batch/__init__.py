@@ -12,8 +12,7 @@ independent jobs — each with its own tensor and seed — enter through
 :func:`~repro.batch.fleet.cp_als_fleet`, which stacks them with
 per-item seeded initialization (the entry the job service's coalescing
 scheduler uses; see ``docs/serving.md``).  See ``docs/batching.md`` for
-the formulation, the empirical stacked-vs-loop crossover, and the
-arena layout.
+the formulation, the two MTTKRP lanes, and the arena layout.
 """
 
 from repro.batch.cp_als import BatchedCPResult, cp_als_batched

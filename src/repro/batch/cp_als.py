@@ -53,9 +53,6 @@ class BatchedCPResult:
     iteration_times:
         Wall seconds per fleet iteration (the active-item count falls
         as items converge, so late entries cover fewer items).
-    tuning:
-        The :class:`~repro.tune.cache.TuneRecord` behind the run's
-        kernel pick when started with ``tune=True``, else ``None``.
     """
 
     factors: list[np.ndarray]
@@ -64,7 +61,6 @@ class BatchedCPResult:
     converged: np.ndarray
     iterations: np.ndarray
     iteration_times: list[float] = field(default_factory=list)
-    tuning: object | None = None
 
     @property
     def batch(self) -> int:
@@ -87,7 +83,6 @@ def cp_als_batched(
     num_threads: int | None = None,
     rng: np.random.Generator | int | None = None,
     workspace=None,
-    tune: bool = False,
     cancel: "CancelToken | None" = None,
 ) -> BatchedCPResult:
     """Fit a rank-``C`` CP decomposition to every item of a batch.
@@ -108,8 +103,7 @@ def cp_als_batched(
         array per mode.
     method:
         Batched MTTKRP method for every mode update, one of
-        :data:`~repro.batch.mttkrp.BATCHED_MTTKRP_METHODS`.  Ignored
-        when ``tune=True``.
+        :data:`~repro.batch.mttkrp.BATCHED_MTTKRP_METHODS`.
     num_threads:
         Forwarded to the batched kernels (workers split the batch axis;
         iterates are bit-identical across thread counts).
@@ -121,10 +115,6 @@ def cp_als_batched(
         default one is created and closed internally; pass your own to
         verify the zero-steady-state-allocation property (buffers are
         re-acquired only when the active set shrinks).
-    tune:
-        Resolve the stacked-vs-loop crossover once up front via
-        :func:`repro.tune.batched.autotune_batched` and use that lane
-        for every iteration (overrides ``method``).
     cancel:
         Optional :class:`~repro.util.cancel.CancelToken` polled at every
         *fleet* iteration boundary (the whole batch advances in
@@ -202,22 +192,12 @@ def cp_als_batched(
 
     with tracer.span(
         "cp_als_batched", rank=rank, batch=B, shape=list(shape),
-        method=method, tune=tune,
+        method=method,
     ):
         from repro.parallel.workspace import Workspace
 
         ws = workspace if workspace is not None else Workspace()
         own_ws = workspace is None
-        if tune:
-            from repro.tune.batched import autotune_batched
-
-            record = autotune_batched(
-                batch, factors, 0, num_threads=num_threads,
-                workspace=ws,
-            )
-            result.tuning = record
-            method = record.method
-            ws.release("tune.")
         try:
             if cancel is not None:
                 cancel.raise_if_cancelled()

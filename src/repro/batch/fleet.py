@@ -76,7 +76,6 @@ def cp_als_fleet(
     method: str = "auto",
     num_threads: int | None = None,
     workspace=None,
-    tune: bool = False,
     cancel=None,
 ) -> BatchedCPResult:
     """Decompose a group of same-shape tensors in one batched run.
@@ -97,7 +96,7 @@ def cp_als_fleet(
     init:
         Initialization method forwarded to
         :func:`~repro.cpd.init.initialize_factors` per item.
-    n_iter_max / tol / method / num_threads / workspace / tune / cancel:
+    n_iter_max / tol / method / num_threads / workspace / cancel:
         Forwarded to :func:`~repro.batch.cp_als.cp_als_batched`.
 
     Returns
@@ -120,6 +119,5 @@ def cp_als_fleet(
         method=method,
         num_threads=num_threads,
         workspace=workspace,
-        tune=tune,
         cancel=cancel,
     )

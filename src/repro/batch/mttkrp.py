@@ -21,13 +21,10 @@ and batch partition.  The differential oracle
 Methods (``BATCHED_MTTKRP_METHODS``):
 
 * ``"auto"`` — the stacked kernel (``"batched"``);
-* ``"autotune"`` — empirical stacked-vs-loop crossover from
-  :func:`repro.tune.batched.autotune_batched`, cached per
-  ``(shape, rank, mode, threads, dtype, batch)``;
 * ``"batched"`` — stacked panels + one batched GEMM per chunk;
 * ``"batched-loop"`` — the per-item 2-D loop over the same stacked
-  storage (the crossover baseline; wins only when items are large
-  enough that per-call overhead is already negligible).
+  storage (the oracle's bit-identity reference and the ``batch``
+  bench suite's baseline).
 """
 
 from __future__ import annotations
@@ -60,15 +57,9 @@ __all__ = [
 
 BATCHED_MTTKRP_METHODS = (
     "auto",
-    "autotune",
     "batched",
     "batched-loop",
 )
-
-# Execution-environment kwargs forwarded from the caller when
-# ``method="autotune"`` resolves to a concrete lane (the batched lanes
-# take no mathematical kwargs).
-_TUNE_PASSTHROUGH = ("workspace", "slot", "cache_bytes")
 
 
 @dataclass(frozen=True)
@@ -170,20 +161,7 @@ def mttkrp_batched(
     n = check_mode(n, batch.ndim)
     if method == "auto":
         method = "batched"
-    autotuned = method == "autotune"
-    if autotuned:
-        from repro.tune.batched import autotune_batched
-
-        record = autotune_batched(
-            batch,
-            factors,
-            n,
-            num_threads=num_threads,
-            workspace=kwargs.get("workspace"),
-        )
-        method = record.method
-        kwargs = {k: kwargs[k] for k in _TUNE_PASSTHROUGH if k in kwargs}
-    if method not in BATCHED_MTTKRP_METHODS or method in ("auto", "autotune"):
+    if method not in BATCHED_MTTKRP_METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of "
             f"{BATCHED_MTTKRP_METHODS}"
@@ -194,7 +172,7 @@ def mttkrp_batched(
         return _run(batch, factors, n, method, num_threads, kwargs)
     with tracer.span(
         f"batch.mttkrp.{method}", mode=n, batch=batch.batch,
-        shape=list(batch.shape), autotuned=autotuned,
+        shape=list(batch.shape),
     ) as span:
         out = _run(batch, factors, n, method, num_threads, kwargs)
         span.args["rank"] = int(out.shape[-1])
@@ -477,9 +455,8 @@ def mttkrp_batched_loop(
     """The per-item reference lane: one 2-D kernel call per item.
 
     Identical arithmetic to the stacked lane item by item (the stacked
-    GEMM is executed per 2-D slice anyway); exists as the crossover
-    baseline the autotuner measures against and as the oracle's
-    bit-identity anchor.
+    GEMM is executed per 2-D slice anyway); exists as the oracle's
+    bit-identity anchor and the ``batch`` bench suite's baseline.
     """
     n, rank = _validate(batch, factors, n)
     T = resolve_threads(num_threads)

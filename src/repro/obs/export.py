@@ -63,9 +63,8 @@ def counter_total(tracer: Tracer, name: str) -> float:
 
     Counters recorded while a span was open live on that span
     (:meth:`~repro.obs.tracer.Span.add`); counters recorded outside any
-    span accumulate on the tracer itself.  A trace-wide total — e.g. the
-    batched tuner's ``tune.measure`` / ``tune.cache_hit`` counts, which
-    tests assert on — needs both.
+    span accumulate on the tracer itself.  A trace-wide total needs
+    both.
     """
     total = float(getattr(tracer, "counters", {}).get(name, 0.0))
     for span in tracer.spans():

@@ -113,25 +113,6 @@ class Workspace:
 
     # -- lifetime -------------------------------------------------------- #
 
-    def release(self, prefix: str) -> int:
-        """Drop every buffer whose name starts with ``prefix``.
-
-        Used to evict scratch that served a bounded setup stage — e.g.
-        the batched tuner's measurement buffers (``"tune."``-prefixed
-        slots, see :mod:`repro.tune`) after ``cp_als_batched(tune=True)``
-        has its pick — so a long-lived arena does not stay inflated by allocations that
-        will never be reused.  Returns the number of buffers dropped;
-        :attr:`stats` is left untouched (``allocations`` counts history,
-        not residency, so the zero-allocations-after-warm-up invariant
-        stays monotone and testable).
-        """
-        if self._closed:
-            raise RuntimeError("workspace has been closed")
-        doomed = [name for name in self._buffers if name.startswith(prefix)]
-        for name in doomed:
-            del self._buffers[name]
-        return len(doomed)
-
     @property
     def num_buffers(self) -> int:
         return len(self._buffers)

@@ -1,26 +1,17 @@
-"""Coalescing scheduler: when do queued jobs share one fleet invocation?
+"""Coalescing scheduler: which queued jobs share one fleet invocation?
 
 The batched engine (:mod:`repro.batch`) turns ``B`` same-shape
-decompositions into stacked GEMMs at 4-6x the per-item dispatch loop's
-throughput — but only below the stacked-vs-loop crossover that PR 9's
-:func:`repro.tune.batched.autotune_batched` measures and caches.  This
-module owns the two policy questions the serving loop asks:
-
-* :func:`group_key` — *may* this job be coalesced at all, and with
-  whom?  Jobs group only when a fleet run is semantically equivalent to
-  their solo runs: same shape, rank, dtype, iteration budget,
-  tolerance, thread placement, and default (seeded-random)
-  initialization.  Oversized items, ``trace=True`` jobs (their spans
-  would interleave), file-ref payloads (the parent never sees the
-  tensor), and ``batchable=False`` jobs stay solo.
-* :func:`batching_pays` — is the stacked lane actually faster for this
-  key at this group size?  The answer is a *lookup* into the shared
-  :class:`~repro.tune.cache.TuningCache` under the same ``TuneKey``
-  vocabulary the batched autotuner writes (mode 0, ``batch`` clamped to
-  the tuner's proxy limit): a fleet-wide warm decision costs ~13 us
-  here.  With no cached record the scheduler stays optimistic for small
-  items — exactly the regime PR 9's committed baselines cover — and
-  the decision is never *measured* on the serving path.
+decompositions into stacked GEMMs, amortizing the per-job dispatch and
+queue overhead over the group.  The one policy question the serving
+loop asks is :func:`group_key`: *may* this job be coalesced at all, and
+with whom?  Jobs group only when a fleet run is semantically equivalent
+to their solo runs: same shape, rank, dtype, iteration budget,
+tolerance, thread placement, and default (seeded-random)
+initialization.  Oversized items, ``trace=True`` jobs (their spans
+would interleave), file-ref payloads (the parent never sees the
+tensor), and ``batchable=False`` jobs stay solo.  Two or more popped
+jobs with the same key always run as one fleet call; the decision reads
+nothing but the jobs themselves.
 
 Coalesced members inherit the group head's scheduling slot: a
 lower-priority same-key job can run earlier than strict priority order
@@ -36,12 +27,7 @@ from typing import NamedTuple
 
 from repro.util import prod
 
-__all__ = ["GroupKey", "group_key", "batching_pays"]
-
-#: The batched autotuner measures on at most this many items
-#: (:data:`repro.tune.batched._PROXY_BATCH_LIMIT`); cache lookups clamp
-#: the group size the same way so serve-time keys hit tuner-time records.
-_PROXY_BATCH_LIMIT = 64
+__all__ = ["GroupKey", "group_key"]
 
 
 class GroupKey(NamedTuple):
@@ -86,29 +72,3 @@ def group_key(job, *, max_item_elems: int) -> GroupKey | None:
         num_threads=spec.num_threads,
     )
 
-
-def batching_pays(key: GroupKey, group_size: int) -> bool:
-    """Whether the stacked lane wins for ``group_size`` jobs of ``key``.
-
-    Pure cache lookup (see module docstring): a cached ``batched-loop``
-    decision vetoes coalescing — the per-item loop inside one fleet call
-    would still amortize *queue* overhead, but the measured crossover
-    says the items are large enough that solo scheduling loses nothing,
-    and solo preserves strict priority order.  No record -> optimistic.
-    """
-    if group_size < 2:
-        return False
-    from repro.tune.cache import TuneKey, get_cache
-
-    tune_key = TuneKey.make(
-        key.shape,
-        key.rank,
-        0,
-        key.num_threads,
-        key.dtype,
-        batch=min(int(group_size), _PROXY_BATCH_LIMIT),
-    )
-    record = get_cache().get(tune_key)
-    if record is None:
-        return True
-    return record.method == "batched"

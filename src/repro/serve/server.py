@@ -14,8 +14,8 @@
   respawn, keep serving),
 * the coalescing policy (:mod:`repro.serve.scheduler`): a tender pops
   with a group claim, and same-(shape, rank, dtype, options) small jobs
-  ride one :func:`~repro.batch.fleet.cp_als_fleet` invocation when the
-  tuning cache says the stacked lane pays,
+  ride one :func:`~repro.batch.fleet.cp_als_fleet` invocation whenever
+  two or more of them are popped together,
 * service metrics — queue depth, shed count, wait/run latency
   percentiles, respawns — via :meth:`stats`.
 
@@ -48,7 +48,7 @@ from repro.serve.job import (
     ServerClosedError,
 )
 from repro.serve.queue import PriorityJobQueue
-from repro.serve.scheduler import batching_pays, group_key
+from repro.serve.scheduler import group_key
 from repro.serve.worker import WorkerDied, WorkerHandle
 
 __all__ = ["ServeConfig", "JobServer", "JobHandle"]
@@ -528,11 +528,9 @@ class JobServer:
                     live.append(job)
             if not live:
                 continue
-            if len(live) > 1:
-                key = key_of(live[0])
-                if key is not None and batching_pays(key, len(live)):
-                    self._run_group(handle, live)
-                    continue
+            if len(live) > 1 and key_of(live[0]) is not None:
+                self._run_group(handle, live)
+                continue
             for job in live:
                 self._run_solo(handle, job)
 

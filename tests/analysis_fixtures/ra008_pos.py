@@ -3,13 +3,6 @@
 from repro.parallel.workspace import Workspace
 
 
-def use_after_release(ws, fill):
-    buf = ws.buffer("krp.left", (64,), "float64")
-    fill(buf)
-    ws.release("krp")
-    return buf.sum()
-
-
 def use_after_close(ws):
     buf = ws.buffer("acc", (8,), "float64")
     ws.close()

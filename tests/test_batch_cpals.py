@@ -104,17 +104,6 @@ def test_external_workspace_reuse_is_steady_state():
         assert ws.stats.allocations == warm
 
 
-def test_tune_records_decision():
-    res = cp_als_batched(
-        BatchedTensor(
-            np.random.default_rng(35).standard_normal((3, 24)), (4, 3, 2)
-        ),
-        2, n_iter_max=2, tol=-1.0, rng=np.random.default_rng(1), tune=True,
-    )
-    assert res.tuning is not None
-    assert res.tuning.method in ("batched", "batched-loop")
-
-
 def test_rejects_zero_items_and_bad_init():
     rng = np.random.default_rng(36)
     flat = rng.standard_normal((3, 12))

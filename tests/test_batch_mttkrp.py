@@ -177,16 +177,16 @@ def test_validation_errors():
 
 
 def test_methods_tuple_is_the_dispatch_contract():
-    assert BATCHED_MTTKRP_METHODS == (
-        "auto", "autotune", "batched", "batched-loop"
-    )
+    assert BATCHED_MTTKRP_METHODS == ("auto", "batched", "batched-loop")
     rng = np.random.default_rng(20)
     bt, factors = _operands(rng, 2, (3, 4), C=2)
     ref = mttkrp_batched_loop(bt, factors, 0)
-    for method in ("auto", "batched", "batched-loop"):
+    for method in BATCHED_MTTKRP_METHODS:
         np.testing.assert_array_equal(
             mttkrp_batched(bt, factors, 0, method=method), ref
         )
+    with pytest.raises(ValueError, match="unknown method 'autotune'"):
+        mttkrp_batched(bt, factors, 0, method="autotune")
 
 
 def test_timers_record_phases():

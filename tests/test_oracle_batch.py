@@ -6,7 +6,7 @@ sizes ``B in {1, 3, 17}``, 1-4 workers.  For every
 configuration and mode it asserts
 
 * every entry of :data:`repro.batch.mttkrp.BATCHED_MTTKRP_METHODS`
-  (including the autotuner's pick) is **bit-identical** to the
+  is **bit-identical** to the
   ``"batched-loop"`` reference lane, and
 * each batch item matches its own per-item ``mttkrp_baseline`` to the
   dtype-appropriate tolerance.
@@ -28,23 +28,10 @@ from repro.batch.mttkrp import BATCHED_MTTKRP_METHODS
 from repro.core.mttkrp_baseline import mttkrp_baseline
 from repro.util import prod
 
-pytestmark = pytest.mark.tune
-
 MASTER_SEED = 20180224  # PPoPP'18
 N_CONFIGS = int(os.environ.get("REPRO_ORACLE_BATCH_N", "48"))
 
 _BATCH_SIZES = (1, 3, 17)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_tune_cache(tmp_path, monkeypatch):
-    """Each test run tunes against its own cache file."""
-    from repro.tune import reset_cache
-
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-    reset_cache()
-    yield
-    reset_cache()
 
 
 @dataclass(frozen=True)
@@ -171,21 +158,3 @@ def test_draws_cover_the_advertised_space():
     assert {c.dtype for c in configs} == {"float32", "float64"}
     assert {c.num_threads for c in configs} >= {1, 2}
     assert any(1 in c.shape for c in configs)
-
-
-def test_autotune_pick_is_replayable():
-    """The tuner's recorded pick, replayed by its method name, matches
-    both the autotune dispatch result and the loop reference."""
-    cfg = draw_config(5)
-    bt, U = build_operands(cfg)
-    from repro.tune.batched import autotune_batched
-
-    for n in range(bt.ndim):
-        record = autotune_batched(bt, U, n, num_threads=cfg.num_threads)
-        via_autotune = mttkrp_batched(
-            bt, U, n, method="autotune", num_threads=cfg.num_threads
-        )
-        via_label = mttkrp_batched(
-            bt, U, n, method=record.method, num_threads=cfg.num_threads
-        )
-        assert np.array_equal(via_autotune, via_label)

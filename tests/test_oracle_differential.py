@@ -25,8 +25,6 @@ from repro.core.mttkrp_baseline import mttkrp_baseline
 from repro.tensor.dense import DenseTensor
 from repro.util import prod
 
-pytestmark = pytest.mark.tune
-
 MASTER_SEED = 20180224  # PPoPP'18
 N_CONFIGS = int(os.environ.get("REPRO_ORACLE_N", "200"))
 

@@ -23,6 +23,7 @@ verifies the composition the oracle then replays.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -36,17 +37,6 @@ from repro.tensor.dense import DenseTensor
 pytestmark = pytest.mark.serve
 
 MASTER_SEED = 20180224  # PPoPP'18
-
-
-@pytest.fixture(autouse=True)
-def _isolated_tune_cache(tmp_path, monkeypatch):
-    """Serving decisions must not depend on this machine's cache file."""
-    from repro.tune import reset_cache
-
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-    reset_cache()
-    yield
-    reset_cache()
 
 
 def draw_tensor(index: int, shape=(4, 3, 2), dtype=np.float64) -> DenseTensor:
@@ -163,7 +153,22 @@ def test_solo_rerun_is_deterministic():
 # --------------------------------------------------------------------- #
 
 
-def test_coalesced_bit_identical_to_direct_fleet():
+@pytest.mark.parametrize("stale_cache", [False, True],
+                         ids=["no-cache-file", "stale-loop-record"])
+def test_coalesced_bit_identical_to_direct_fleet(
+    stale_cache, tmp_path, monkeypatch
+):
+    # Coalescing depends on the jobs alone: a leftover tuning-cache file
+    # that records the loop lane for exactly this group's key must not
+    # split the group into solos.
+    if stale_cache:
+        path = tmp_path / "tune.json"
+        path.write_text(json.dumps({"version": 2, "entries": {
+            "shape=4x3x2;rank=2;mode=0;threads=2;dtype=float64;batch=5": {
+                "method": "batched-loop", "times": {}, "source": "measured",
+            },
+        }}))
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
     B = 5
     tensors = [draw_tensor(100 + b) for b in range(B)]
     seeds = [200 + b for b in range(B)]

@@ -16,7 +16,6 @@ PUBLIC_MODULES = [
     "repro.data",
     "repro.bench",
     "repro.util",
-    "repro.tune",
 ]
 
 

@@ -71,42 +71,6 @@ class TestPrivate:
         assert ws.stats.reuses == 1
 
 
-class TestRelease:
-    def test_release_drops_only_the_prefix(self):
-        ws = Workspace()
-        ws.buffer("tune.a", (3,))
-        ws.buffer("tune.b", (4,))
-        ws.buffer("keep", (5,))
-        dropped = ws.release("tune.")
-        assert dropped == 2
-        assert ws.num_buffers == 1
-        # The survivor is still reused; the released names reallocate.
-        before = ws.stats.allocations
-        ws.buffer("keep", (5,))
-        assert ws.stats.allocations == before
-        ws.buffer("tune.a", (3,))
-        assert ws.stats.allocations == before + 1
-
-    def test_release_without_matches_is_a_noop(self):
-        ws = Workspace()
-        ws.buffer("x", (2,))
-        assert ws.release("nothing.") == 0
-        assert ws.num_buffers == 1
-
-    def test_release_keeps_stats(self):
-        ws = Workspace()
-        ws.buffer("tune.a", (3,))
-        allocs = ws.stats.allocations
-        ws.release("tune.")
-        assert ws.stats.allocations == allocs
-
-    def test_release_after_close_raises(self):
-        ws = Workspace()
-        ws.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            ws.release("tune.")
-
-
 class TestLifetime:
     def test_close_drops_buffers_and_blocks_use(self):
         ws = Workspace()
