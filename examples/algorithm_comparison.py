@@ -46,13 +46,16 @@ def main() -> None:
         for label in labels:
             # Median of 3 timed runs plus one traced run for the phases.
             algo = "gemm-baseline" if label == "gemm-lb" else label
-            point = run_mttkrp_point(X, U, n, algo, 1, repeats=3)
+            record = run_mttkrp_point(
+                "example", f"n{n}/{label}", X, U, n, algo, 1, repeats=3
+            )
+            phases = record.get("phases", {})
             cells = "  ".join(
-                f"{point.phases[p]:9.4f}" if p in point.phases
-                else f"{'-':>9}"
+                f"{phases[p]:9.4f}" if p in phases else f"{'-':>9}"
                 for p in PHASES
             )
-            print(f"{n:>4}  {label:13}  {point.seconds:10.4f}  {cells}")
+            seconds = record["timing"]["median_s"]
+            print(f"{n:>4}  {label:13}  {seconds:10.4f}  {cells}")
         print()
 
     print("reading the table:")

@@ -16,18 +16,15 @@
   samples);
 * :mod:`~repro.bench.stream` — the STREAM scale benchmark of Figure 4;
 * :mod:`~repro.bench.harness` — measured experiment runners (KRP, MTTKRP,
-  CP-ALS) producing structured points with timing stats and obs counters;
+  CP-ALS), each returning one normalized record;
 * :mod:`~repro.bench.figures` — per-figure drivers printing paper-style
-  tables for both the *measured* (host, reduced scale) and *modeled*
-  (paper machine, paper scale) variants:
-  ``python -m repro.bench.figures fig5 --scale 0.005``.
+  tables for both the *measured* (the figure's registry suite on this
+  host, reduced scale) and *modeled* (paper machine, paper scale)
+  variants: ``python -m repro.bench.figures fig5 --scale 0.005``.
 """
 
 from repro.bench.env import host_class, host_fingerprint, provenance_header
 from repro.bench.harness import (
-    CPALSPoint,
-    KRPPoint,
-    MTTKRPPoint,
     run_cpals_point,
     run_krp_point,
     run_mttkrp_point,
@@ -46,7 +43,6 @@ from repro.bench.schema import (
     load_history,
     load_results,
     new_record,
-    record_from_point,
     validate_record,
     write_results,
 )
@@ -57,9 +53,6 @@ __all__ = [
     "median_time",
     "time_samples",
     "stream_scale",
-    "KRPPoint",
-    "MTTKRPPoint",
-    "CPALSPoint",
     "run_krp_point",
     "run_mttkrp_point",
     "run_cpals_point",
@@ -75,7 +68,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "new_record",
-    "record_from_point",
     "validate_record",
     "write_results",
     "load_results",

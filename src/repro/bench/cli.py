@@ -4,21 +4,17 @@ Subcommands::
 
     repro-bench list [--tag TAG]
     repro-bench run NAME... [--scale S] [--threads 1,2] [--repeats K]
-                            [--rng SEED] [--out FILE] [--root-summary]
-    repro-bench trend [--results DIR] [--current FILE] [--baseline best|latest]
+                            [--rng SEED] [--out FILE]
+    repro-bench trend [--results DIR] [--current FILE]
                       [--tolerance F] [--abs-floor S] [--json FILE]
 
 ``run`` executes any subset of registered benchmarks at a chosen scale
-and writes one normalized results file (default
-``results/current.bench.json`` — deliberately *not* part of committed
-history; promote a run by renaming it to ``<something>.bench.json`` you
-commit).  ``--root-summary`` additionally writes one repo-root
-``BENCH_<suite>.json`` schema-v1 envelope per benchmark run — a
-stable, discoverable snapshot of each suite's latest numbers
-(``load_history`` only globs ``*.bench.json`` inside the results
-directory, so the root summaries never pollute trend baselines).
-``trend`` then diffs the current file against the committed history
-and exits with status ``3`` naming the regressed benchmarks.
+and writes one normalized results file (default ``current.bench.json``,
+outside ``results/`` so it never joins the committed history; a
+suite's baseline is re-recorded by replacing its committed
+``results/<suite>.bench.json``).  ``trend`` then diffs the current file
+against the committed history and exits with status ``3`` naming the
+regressed benchmarks.
 
 Also reachable as ``python -m repro.bench``.
 """
@@ -36,7 +32,7 @@ from repro.bench.schema import SchemaError, load_results, write_results
 __all__ = ["main", "build_parser"]
 
 DEFAULT_RESULTS_DIR = "results"
-DEFAULT_CURRENT = "results/current.bench.json"
+DEFAULT_CURRENT = "current.bench.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rng", type=int, default=0, help="random seed")
     p_run.add_argument("--out", default=DEFAULT_CURRENT,
                        help=f"results file to write (default: {DEFAULT_CURRENT})")
-    p_run.add_argument("--root-summary", action="store_true",
-                       help="also write one repo-root BENCH_<suite>.json "
-                            "envelope per benchmark")
 
     p_trend = sub.add_parser(
         "trend", help="diff a current run against committed history")
@@ -73,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trend.add_argument("--current", default=DEFAULT_CURRENT,
                          help="current-run results file to evaluate "
                               f"(default: {DEFAULT_CURRENT})")
-    p_trend.add_argument("--baseline", choices=("best", "latest"),
-                         default="best", help="baseline policy (default: best)")
     p_trend.add_argument("--tolerance", type=float,
                          default=trend_mod.DEFAULT_TOLERANCE,
                          help="relative slowdown tolerated before failing "
@@ -125,15 +116,6 @@ def _cmd_run(args) -> int:
         "host_class": host_class(),
     })
     print(f"{len(records)} record(s) -> {path}")
-    if args.root_summary:
-        for name in args.names:
-            summary = [r for r in records if r["benchmark"] == name]
-            summary_path = write_results(f"BENCH_{name}.json", summary, meta={
-                "benchmarks": [name],
-                "invocation": "repro-bench run --root-summary",
-                "host_class": host_class(),
-            })
-            print(f"{len(summary)} record(s) -> {summary_path}")
     for record in records:
         timing = record["timing"]
         print(f"  {record['benchmark']}:{record['case']}  "
@@ -157,7 +139,6 @@ def _cmd_trend(args) -> int:
         exclude_files=(args.current,),
         tolerance=args.tolerance,
         abs_floor_s=args.abs_floor,
-        baseline=args.baseline,
     )
     print(f"host-class: {host_class()}")
     trend_mod.render_text(result)

@@ -5,9 +5,7 @@ relative to *where* and *when* it was measured: a 1-CPU container and a
 12-core Xeon produce different truths, and a dirty working tree produces
 numbers no commit can vouch for.  This module captures that context once,
 in one shape, for every producer — the ``repro-bench`` registry runners
-and the figure text exports — replacing the hand-rolled
-``{"cpus": ..., "platform": ...}`` dicts that previously drifted apart
-across ``results/BENCH_*.json``.
+and the figure text exports.
 
 Three layers:
 
@@ -133,20 +131,11 @@ def host_class_of(host: dict) -> str:
     """Coarse comparability key for a stored host dict.
 
     ``"<machine>-<cpus>cpu"`` — two runs are trend-comparable only when
-    they share an ISA and a core count.  Tolerates the pre-schema
-    ``results/BENCH_*.json`` host dicts, which recorded only ``cpus`` and
-    a ``platform.platform()`` string: the machine token is recovered from
-    the platform string's ``-<machine>-with-`` segment.
+    they share an ISA and a core count.
     """
-    machine = host.get("machine")
-    if not machine:
-        plat = str(host.get("platform", ""))
-        for token in ("x86_64", "aarch64", "arm64", "ppc64le", "s390x"):
-            if token in plat:
-                machine = token
-                break
-    cpus = host.get("cpus")
-    return f"{machine or 'unknown'}-{cpus if cpus else '?'}cpu"
+    machine = host.get("machine") or "unknown"
+    cpus = host.get("cpus") or "?"
+    return f"{machine}-{cpus}cpu"
 
 
 def host_class(repo_dir: str | None = None) -> str:

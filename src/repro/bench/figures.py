@@ -3,9 +3,11 @@
 Each ``figN()`` function produces the paper's figure as text tables, in up
 to two flavours:
 
-* **measured** — actually runs the algorithms on this host at a reduced
-  scale (``--scale``, volumetric fraction of the paper's workload) over
-  the requested thread counts;
+* **measured** — runs the registry suite of the same name
+  (:mod:`repro.bench.suites`) on this host at a reduced scale
+  (``--scale``, volumetric fraction of the paper's workload; default the
+  suite's own) over the requested thread counts, and renders its
+  records;
 * **modeled** — evaluates the calibrated analytical model of the paper's
   12-core machine (:func:`repro.machine.model.paper_machine`) at the
   paper's full scale, thread counts 1..12.
@@ -25,29 +27,15 @@ import argparse
 import sys
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
-from repro.bench.harness import (
-    run_cpals_point,
-    run_krp_point,
-    run_mttkrp_point,
-    run_stream_point,
-)
-from repro.data.fmri import synthetic_fmri
-from repro.data.workloads import (
-    FIG4_WORKLOADS,
-    FIG5_WORKLOADS,
-    FIG7_RANKS,
-    FMRI_PAPER_4D,
-    FMRI_REDUCED_4D,
-)
+from repro.bench.registry import get_spec, run_benchmark
+from repro.bench.suites import _fmri_shapes, _mttkrp_algorithms
+from repro.data.workloads import FIG4_WORKLOADS, FIG5_WORKLOADS, FIG7_RANKS
 from repro.machine.model import paper_machine
 from repro.machine.predict import (
     predict_algorithm_time,
     predict_krp_time,
     predict_stream_time,
 )
-from repro.tensor.generate import random_factors, random_tensor
 from repro.util import human_count, prod
 
 __all__ = ["fig4", "fig5", "fig6", "fig7", "fig8", "main"]
@@ -74,15 +62,33 @@ def _print_table(
         print(_fmt_row(r, widths), file=out)
 
 
+def _measure(
+    name: str,
+    scale: float | None,
+    threads: Sequence[int],
+    repeats: int | None,
+    rng: int,
+) -> tuple[dict[str, dict], float]:
+    """Run suite ``name``: its records by case id, and the scale it ran at."""
+    records = run_benchmark(
+        name, scale=scale, threads=threads, repeats=repeats, rng=rng
+    )
+    return {r["case"]: r for r in records}, records[0]["context"]["scale"]
+
+
+def _seconds(record: dict, stat: str = "median_s") -> float:
+    return record["timing"][stat]
+
+
 # --------------------------------------------------------------------- #
 # Figure 4: KRP — Reuse vs Naive vs STREAM over threads
 # --------------------------------------------------------------------- #
 
 
 def fig4(
-    scale: float = 0.01,
+    scale: float | None = None,
     threads: Sequence[int] = (1,),
-    repeats: int = 3,
+    repeats: int | None = None,
     measured: bool = True,
     modeled: bool = True,
     rng: int = 0,
@@ -92,28 +98,21 @@ def fig4(
     """Figure 4: time of Algorithm 1 vs naive KRP vs STREAM."""
     out = out or sys.stdout
     if measured:
+        cases, scale = _measure("fig4", scale, threads, repeats, rng)
         for wl in FIG4_WORKLOADS:
-            dims = wl.dims(scale)
-            rows_total = prod(dims)
-            gen = np.random.default_rng(rng)
-            mats = [gen.random((d, wl.C)) for d in dims]
             table = []
             for T in threads:
-                r = run_krp_point(mats, T, "reuse", repeats)
-                n = run_krp_point(mats, T, "naive", repeats)
-                s = run_stream_point(rows_total, wl.C, T, repeats)
+                # The paper's KRP protocol reports the mean.
+                r, n, s = (
+                    _seconds(cases[f"Z{wl.Z}-C{wl.C}/{sched}/T{T}"], "mean_s")
+                    for sched in ("reuse", "naive", "stream")
+                )
                 table.append(
-                    [
-                        T,
-                        f"{r.seconds:.4f}",
-                        f"{n.seconds:.4f}",
-                        f"{s.seconds:.4f}",
-                        f"{n.seconds / r.seconds:.2f}x",
-                    ]
+                    [T, f"{r:.4f}", f"{n:.4f}", f"{s:.4f}", f"{n / r:.2f}x"]
                 )
             _print_table(
-                f"[Fig 4, measured] KRP {wl.label}, J={human_count(rows_total)} "
-                f"rows (scale={scale})",
+                f"[Fig 4, measured] KRP {wl.label}, "
+                f"J={human_count(prod(wl.dims(scale)))} rows (scale={scale})",
                 ["T", "reuse(s)", "naive(s)", "STREAM(s)", "naive/reuse"],
                 table,
                 out,
@@ -171,18 +170,10 @@ def fig4(
 # --------------------------------------------------------------------- #
 
 
-def _mttkrp_algorithms(N: int, n: int) -> list[str]:
-    algos = ["onestep"]
-    if 0 < n < N - 1:
-        algos.append("twostep")
-    algos.append("gemm-baseline")
-    return algos
-
-
 def fig5(
-    scale: float = 0.005,
+    scale: float | None = None,
     threads: Sequence[int] = (1,),
-    repeats: int = 3,
+    repeats: int | None = None,
     measured: bool = True,
     modeled: bool = True,
     rng: int = 0,
@@ -192,18 +183,18 @@ def fig5(
     """Figure 5: 1-step / 2-step / baseline MTTKRP time vs threads."""
     out = out or sys.stdout
     if measured:
+        cases, scale = _measure("fig5", scale, threads, repeats, rng)
         for wl in FIG5_WORKLOADS:
             shape = wl.shape(scale)
-            X = random_tensor(shape, rng=rng)
-            U = random_factors(shape, wl.C, rng=rng + 1)
-            rows = []
-            for n in range(wl.N):
-                for algo in _mttkrp_algorithms(wl.N, n):
-                    cells = [f"n={n}", algo]
-                    for T in threads:
-                        p = run_mttkrp_point(X, U, n, algo, T, repeats)
-                        cells.append(f"{p.seconds:.4f}")
-                    rows.append(cells)
+            rows = [
+                [f"n={n}", algo]
+                + [
+                    f"{_seconds(cases[f'N{wl.N}/n{n}/{algo}/T{T}']):.4f}"
+                    for T in threads
+                ]
+                for n in range(wl.N)
+                for algo in _mttkrp_algorithms(wl.N, n)
+            ]
             _print_table(
                 f"[Fig 5, measured] {wl.label} scaled to shape {shape} "
                 f"({human_count(prod(shape))} entries)",
@@ -264,87 +255,87 @@ def _phase_cells(phases: dict[str, float]) -> list[str]:
     ]
 
 
-def _breakdown_tables(
-    shapes_and_names: list[tuple[tuple[int, ...], str]],
-    C: int,
-    threads: Sequence[int],
-    repeats: int,
-    measured: bool,
-    modeled: bool,
-    rng: int,
+def _measured_breakdown(
     figure_name: str,
+    cases: dict[str, dict],
+    shapes: list[tuple[tuple[int, ...], str, str]],
+    threads: Sequence[int],
+    out,
+) -> None:
+    """Figure 6/8 measured tables from suite records.
+
+    ``shapes`` holds ``(shape, case prefix, display name)`` per tensor.
+    """
+    for shape, prefix, name in shapes:
+        for T in threads:
+            rows = []
+            for n in range(len(shape)):
+                for algo in _mttkrp_algorithms(len(shape), n):
+                    record = cases[f"{prefix}/n{n}/{algo}/T{T}"]
+                    rows.append(
+                        [f"n={n}", algo, f"{_seconds(record):.4f}"]
+                        + _phase_cells(record.get("phases", {}))
+                    )
+            C = cases[f"{prefix}/n0/onestep/T{T}"]["params"]["C"]
+            _print_table(
+                f"[{figure_name}, measured] {name} shape={shape}, "
+                f"C={C}, T={T}",
+                ["mode", "algorithm", "total(s)"] + _PHASE_ORDER,
+                rows,
+                out,
+            )
+
+
+def _modeled_breakdown(
+    figure_name: str,
+    shapes_and_names: list[tuple[tuple[int, ...], str]],
     out,
     plot: bool = False,
 ) -> None:
-    """Shared driver for Figures 6 and 8 (phase breakdowns)."""
-    if measured:
-        for shape, name in shapes_and_names:
-            X = random_tensor(shape, rng=rng)
-            U = random_factors(shape, C, rng=rng + 1)
-            for T in threads:
-                rows = []
-                for n in range(len(shape)):
-                    for algo in _mttkrp_algorithms(len(shape), n):
-                        p = run_mttkrp_point(X, U, n, algo, T, repeats)
-                        rows.append(
-                            [f"n={n}", algo, f"{p.seconds:.4f}"]
-                            + _phase_cells(p.phases)
-                        )
-                _print_table(
-                    f"[{figure_name}, measured] {name} shape={shape}, "
-                    f"C={C}, T={T}",
-                    ["mode", "algorithm", "total(s)"] + _PHASE_ORDER,
-                    rows,
-                    out,
-                )
-    if modeled:
-        m = paper_machine()
-        for shape, name in shapes_and_names:
-            for T in (1, 12):
-                rows = []
-                for n in range(len(shape)):
-                    for algo in _mttkrp_algorithms(len(shape), n):
-                        total, phases = predict_algorithm_time(
-                            m, shape, n, C, T, algo
-                        )
-                        rows.append(
-                            [f"n={n}", algo, f"{total:.3f}"]
-                            + _phase_cells(phases)
-                        )
-                _print_table(
-                    f"[{figure_name}, modeled: paper machine] {name} "
-                    f"shape={shape}, C={C}, T={T}",
-                    ["mode", "algorithm", "total(s)"] + _PHASE_ORDER,
-                    rows,
-                    out,
-                )
-                if plot:
-                    from repro.bench.plot import stacked_bar_chart
-
-                    bars = {}
-                    for n in range(len(shape)):
-                        for algo in _mttkrp_algorithms(len(shape), n):
-                            _, phases = predict_algorithm_time(
-                                m, shape, n, C, T, algo
-                            )
-                            short = {"onestep": "1S", "twostep": "2S",
-                                     "gemm-baseline": "B"}[algo]
-                            bars[f"n={n} {short}"] = phases
-                    print(
-                        "\n"
-                        + stacked_bar_chart(
-                            f"{figure_name} (modeled): phase breakdown, "
-                            f"{name}, T={T}",
-                            bars,
-                        ),
-                        file=sys.stdout if out is None else out,
+    """Figure 6/8 tables of the paper machine's model at T = 1 and 12."""
+    C = 25
+    m = paper_machine()
+    for shape, name in shapes_and_names:
+        for T in (1, 12):
+            rows = []
+            bars = {}
+            for n in range(len(shape)):
+                for algo in _mttkrp_algorithms(len(shape), n):
+                    total, phases = predict_algorithm_time(
+                        m, shape, n, C, T, algo
                     )
+                    rows.append(
+                        [f"n={n}", algo, f"{total:.3f}"]
+                        + _phase_cells(phases)
+                    )
+                    short = {"onestep": "1S", "twostep": "2S",
+                             "gemm-baseline": "B"}[algo]
+                    bars[f"n={n} {short}"] = phases
+            _print_table(
+                f"[{figure_name}, modeled: paper machine] {name} "
+                f"shape={shape}, C={C}, T={T}",
+                ["mode", "algorithm", "total(s)"] + _PHASE_ORDER,
+                rows,
+                out,
+            )
+            if plot:
+                from repro.bench.plot import stacked_bar_chart
+
+                print(
+                    "\n"
+                    + stacked_bar_chart(
+                        f"{figure_name} (modeled): phase breakdown, "
+                        f"{name}, T={T}",
+                        bars,
+                    ),
+                    file=out,
+                )
 
 
 def fig6(
-    scale: float = 0.005,
+    scale: float | None = None,
     threads: Sequence[int] = (1,),
-    repeats: int = 3,
+    repeats: int | None = None,
     measured: bool = True,
     modeled: bool = True,
     rng: int = 0,
@@ -352,18 +343,23 @@ def fig6(
     out=None,
 ) -> None:
     """Figure 6: MTTKRP time breakdown across modes, N = 3..6."""
-    shapes = [
-        (wl.shape(scale), f"N={wl.N}") for wl in FIG5_WORKLOADS
-    ]
+    out = out or sys.stdout
+    if measured:
+        cases, scale = _measure("fig6", scale, threads, repeats, rng)
+        _measured_breakdown(
+            "Fig 6",
+            cases,
+            [(wl.shape(scale), f"N{wl.N}", f"N={wl.N}")
+             for wl in FIG5_WORKLOADS],
+            threads,
+            out,
+        )
     if modeled:
-        paper_shapes = [(wl.shape(1.0), f"N={wl.N}") for wl in FIG5_WORKLOADS]
-    _breakdown_tables(
-        shapes, 25, threads, repeats, measured, False, rng, "Fig 6", out
-    )
-    if modeled:
-        _breakdown_tables(
-            paper_shapes, 25, threads, repeats, False, True, rng, "Fig 6",
-            out, plot=plot,
+        _modeled_breakdown(
+            "Fig 6",
+            [(wl.shape(1.0), f"N={wl.N}") for wl in FIG5_WORKLOADS],
+            out,
+            plot=plot,
         )
 
 
@@ -372,20 +368,10 @@ def fig6(
 # --------------------------------------------------------------------- #
 
 
-def _fmri_shapes(scale_dims: bool) -> list[tuple[tuple[int, ...], str]]:
-    dims = FMRI_REDUCED_4D if scale_dims else FMRI_PAPER_4D
-    t, s, r, _ = dims
-    pairs = r * (r - 1) // 2
-    return [
-        ((t, s, pairs), "3D fMRI"),
-        (dims, "4D fMRI"),
-    ]
-
-
 def fig7(
-    scale: float = 1.0,
+    scale: float | None = None,
     threads: Sequence[int] = (1,),
-    repeats: int = 2,
+    repeats: int | None = None,
     measured: bool = True,
     modeled: bool = True,
     rng: int = 0,
@@ -400,27 +386,21 @@ def fig7(
     """
     out = out or sys.stdout
     if measured:
-        data = synthetic_fmri(
-            *(FMRI_REDUCED_4D[:3] if scale < 1.0 else FMRI_PAPER_4D[:3]),
-            rank=5,
-            rng=rng,
-        )
-        tensors = [(data.to_3way(), "3D fMRI"), (data.tensor, "4D fMRI")]
-        for X, name in tensors:
+        cases, scale = _measure("fig7", scale, threads, repeats, rng)
+        for shape, kind in _fmri_shapes(paper=scale >= 1.0):
             rows = []
             for rank in FIG7_RANKS:
                 cells = [rank]
                 for T in threads:
-                    ours = run_cpals_point(X, rank, "repro", T, repeats + 1, rng)
-                    dt = run_cpals_point(
-                        X, rank, "dimtree", T, repeats + 1, rng
+                    ours, dt, ttb = (
+                        _seconds(cases[f"{kind}/C{rank}/{impl}/T{T}"])
+                        for impl in ("repro", "dimtree", "ttb")
                     )
-                    ttb = run_cpals_point(X, rank, "ttb", T, repeats + 1, rng)
                     cells += [
-                        f"{ours.seconds_per_iteration:.4f}",
-                        f"{dt.seconds_per_iteration:.4f}",
-                        f"{ttb.seconds_per_iteration:.4f}",
-                        f"{ttb.seconds_per_iteration / ours.seconds_per_iteration:.2f}x",
+                        f"{ours:.4f}",
+                        f"{dt:.4f}",
+                        f"{ttb:.4f}",
+                        f"{ttb / ours:.2f}x",
                     ]
                 rows.append(cells)
             header = ["C"]
@@ -430,8 +410,8 @@ def fig7(
                     f"speedup T={T}",
                 ]
             _print_table(
-                f"[Fig 7, measured] CP-ALS per-iteration seconds, {name} "
-                f"shape={X.shape}",
+                f"[Fig 7, measured] CP-ALS per-iteration seconds, "
+                f"{kind} fMRI shape={shape}",
                 header,
                 rows,
                 out,
@@ -440,7 +420,7 @@ def fig7(
         from repro.machine.predict import predict_cpals_iteration
 
         m = paper_machine()
-        for shape, name in _fmri_shapes(scale_dims=False):
+        for shape, kind in _fmri_shapes(paper=True):
             rows = []
             for rank in FIG7_RANKS:
                 cells = [rank]
@@ -459,7 +439,7 @@ def fig7(
                 rows.append(cells)
             _print_table(
                 f"[Fig 7, modeled: paper machine] CP-ALS per-iteration "
-                f"seconds (MTTKRP portion), {name} shape={shape}",
+                f"seconds (MTTKRP portion), {kind} fMRI shape={shape}",
                 ["C", "ours T=1", "dimtree T=1", "TTB T=1", "speedup T=1",
                  "ours T=12", "dimtree T=12", "TTB T=12", "speedup T=12"],
                 rows,
@@ -468,9 +448,9 @@ def fig7(
 
 
 def fig8(
-    scale: float = 0.1,
+    scale: float | None = None,
     threads: Sequence[int] = (1,),
-    repeats: int = 3,
+    repeats: int | None = None,
     measured: bool = True,
     modeled: bool = True,
     rng: int = 0,
@@ -478,15 +458,23 @@ def fig8(
     out=None,
 ) -> None:
     """Figure 8: MTTKRP breakdown on the (synthetic) fMRI tensors."""
-    measured_shapes = _fmri_shapes(scale_dims=scale < 1.0)
-    _breakdown_tables(
-        measured_shapes, 25, threads, repeats, measured, False, rng,
-        "Fig 8", out,
-    )
+    out = out or sys.stdout
+    if measured:
+        cases, scale = _measure("fig8", scale, threads, repeats, rng)
+        _measured_breakdown(
+            "Fig 8",
+            cases,
+            [(shape, kind, f"{kind} fMRI")
+             for shape, kind in _fmri_shapes(paper=scale >= 1.0)],
+            threads,
+            out,
+        )
     if modeled:
-        _breakdown_tables(
-            _fmri_shapes(scale_dims=False), 25, threads, repeats, False,
-            True, rng, "Fig 8", out, plot=plot,
+        _modeled_breakdown(
+            "Fig 8",
+            [(shape, f"{kind} fMRI") for shape, kind in _fmri_shapes(paper=True)],
+            out,
+            plot=plot,
         )
 
 
@@ -508,8 +496,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         type=float,
-        default=0.005,
-        help="volumetric fraction of the paper workload for measured runs",
+        default=None,
+        help="volumetric fraction of the paper workload for measured runs "
+        "(default: each figure suite's own, see 'repro-bench list')",
     )
     parser.add_argument(
         "--threads",
@@ -518,7 +507,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=[1],
         help="thread counts for measured runs",
     )
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=None,
+        help="timed repetitions per point (default: the suite's own)",
+    )
     parser.add_argument("--rng", type=int, default=0)
     parser.add_argument(
         "--no-measured", action="store_true", help="skip host measurements"
@@ -561,7 +555,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             directory = pathlib.Path(args.output)
             directory.mkdir(parents=True, exist_ok=True)
             header = provenance_header(
-                scale=args.scale,
+                scale=(get_spec(name).default_scale if args.scale is None
+                       else args.scale),
                 threads=args.threads,
                 extra={
                     "figure": name,

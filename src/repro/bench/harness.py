@@ -1,37 +1,33 @@
-"""Measured experiment runners for the figure drivers and the registry.
+"""Measured experiment runners: one paper-figure point in, one record out.
 
 Each ``run_*_point`` function measures one point of one figure (a specific
-algorithm / workload / thread count) and returns a small result record;
-the figure drivers in :mod:`repro.bench.figures` assemble those into the
-paper's tables, and the registry runners in :mod:`repro.bench.suites`
-convert them into normalized schema records.  All runners accept
-preconstructed inputs where reuse matters so repeated timings measure the
-kernel, not setup.
+algorithm / workload / thread count) and returns a normalized schema
+record (:mod:`repro.bench.schema`).  The registry runners in
+:mod:`repro.bench.suites` call them for their case lists, and the figure
+drivers in :mod:`repro.bench.figures` render those records as the
+paper's tables, so every figure number comes from the same measurement
+as the trend history.  All runners accept preconstructed inputs where
+reuse matters so repeated timings measure the kernel, not setup.
 
-Since the registry refactor every point carries, beyond the headline
-``seconds``:
-
-* ``stats`` — the full timing distribution (mean/median/min/max/std over
-  the repeats), feeding ``timing`` in the normalized schema;
-* ``counters`` — analytic FLOP/byte totals, GEMM/GEMV call counts and
-  per-region load imbalance captured by running one instrumented
-  repetition under a private :func:`repro.obs.capture` tracer (the
-  measured repetitions themselves stay untraced, so instrumentation
-  cannot skew the timings).  MTTKRP points also take their Figure 6/8
-  ``phases`` from that trace (:func:`repro.obs.phase_totals`).
+KRP, STREAM and MTTKRP points go through
+:func:`repro.bench.registry.measure_case`: the timed repetitions run
+untraced, and one extra repetition under a private
+:func:`repro.obs.capture` tracer supplies the obs counters and, for
+MTTKRP, the Figure 6/8 ``phases``.  A CP-ALS point times its own
+iterations (Figure 7 reports per-iteration time).
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
 import repro.obs as obs
+from repro.bench.registry import measure_case
+from repro.bench.schema import new_record, timing_from_stats
 from repro.bench.stream import stream_buffers, stream_scale
-from repro.bench.timing import time_samples
 from repro.core.dispatch import mttkrp
 from repro.core.krp import krp_rows
 from repro.core.krp_parallel import khatri_rao_parallel
@@ -45,9 +41,6 @@ from repro.tensor.generate import random_factors
 from repro.util import prod
 
 __all__ = [
-    "KRPPoint",
-    "MTTKRPPoint",
-    "CPALSPoint",
     "run_krp_point",
     "run_stream_point",
     "run_mttkrp_point",
@@ -56,133 +49,73 @@ __all__ = [
 ]
 
 
-def _stats_from_samples(samples: Sequence[float]) -> dict:
-    from repro.bench.schema import timing_from_stats
-
-    return timing_from_stats(samples)
-
-
-def _captured_counters(fn: Callable[[], object]) -> dict[str, float]:
-    """Counters from one instrumented invocation of ``fn``."""
-    return obs.counters_snapshot(_captured_trace(fn))
-
-
-def _captured_trace(fn: Callable[[], object]) -> obs.Tracer:
-    """The trace of one instrumented invocation of ``fn``."""
-    with obs.capture() as tracer:
-        fn()
-    return tracer
-
-
-@dataclass(frozen=True)
-class KRPPoint:
-    """One measured Figure 4 point."""
-
-    schedule: str  # "reuse" | "naive" | "stream"
-    Z: int
-    C: int
-    rows: int
-    threads: int
-    seconds: float
-    stats: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MTTKRPPoint:
-    """One measured Figure 5/6/8 point."""
-
-    algorithm: str
-    shape: tuple[int, ...]
-    mode: int
-    C: int
-    threads: int
-    seconds: float
-    phases: dict[str, float] = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CPALSPoint:
-    """One measured Figure 7 point (per-iteration CP-ALS time)."""
-
-    implementation: str  # "repro" | "dimtree" | "ttb"
-    shape: tuple[int, ...]
-    rank: int
-    threads: int
-    seconds_per_iteration: float
-    final_fit: float
-    stats: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-
 def run_krp_point(
+    benchmark: str,
+    case: str,
     matrices: Sequence[np.ndarray],
     threads: int,
     schedule: str = "reuse",
     repeats: int = 3,
-) -> KRPPoint:
+) -> dict:
     """Measure one parallel-KRP configuration (Figure 4 protocol)."""
     mats = [np.asarray(m) for m in matrices]
     C = mats[0].shape[1]
     rows = prod(m.shape[0] for m in mats)
     out = np.empty((rows, C))
-
-    def kernel() -> None:
-        khatri_rao_parallel(mats, num_threads=threads, out=out, schedule=schedule)
-
-    samples = time_samples(kernel, repeats=repeats)
-    return KRPPoint(
-        schedule=schedule,
-        Z=len(mats),
-        C=C,
-        rows=rows,
-        threads=threads,
-        seconds=float(np.mean(samples)),
-        stats=_stats_from_samples(samples),
-        counters=_captured_counters(kernel),
+    return measure_case(
+        benchmark,
+        case,
+        lambda: khatri_rao_parallel(
+            mats, num_threads=threads, out=out, schedule=schedule
+        ),
+        params={"Z": len(mats), "C": C, "rows": rows, "threads": threads,
+                "schedule": schedule},
+        repeats=repeats,
     )
 
 
-def run_stream_point(entries: int, C: int, threads: int, repeats: int = 3) -> KRPPoint:
+def run_stream_point(
+    benchmark: str,
+    case: str,
+    entries: int,
+    C: int,
+    threads: int,
+    repeats: int = 3,
+    *,
+    params: dict | None = None,
+) -> dict:
     """Measure the STREAM scale kernel at the KRP output size."""
     src, dst = stream_buffers(int(entries) * int(C))
-
-    def kernel() -> None:
-        stream_scale(src, dst, num_threads=threads)
-
-    samples = time_samples(kernel, repeats=repeats)
-    return KRPPoint(
-        schedule="stream",
-        Z=0,
-        C=C,
-        rows=int(entries),
-        threads=threads,
-        seconds=float(np.mean(samples)),
-        stats=_stats_from_samples(samples),
-        counters=_captured_counters(kernel),
+    return measure_case(
+        benchmark,
+        case,
+        lambda: stream_scale(src, dst, num_threads=threads),
+        params={"C": C, "rows": int(entries), "threads": threads,
+                "schedule": "stream", **(params or {})},
+        repeats=repeats,
     )
 
 
 def run_mttkrp_point(
+    benchmark: str,
+    case: str,
     tensor: DenseTensor,
     factors: Sequence[np.ndarray],
     mode: int,
     algorithm: str,
     threads: int,
     repeats: int = 3,
-) -> MTTKRPPoint:
+    *,
+    params: dict | None = None,
+) -> dict:
     """Measure one MTTKRP configuration (Figure 5 protocol: median of k).
 
-    The phase breakdown (Figure 6/8) and obs counters of one extra
-    instrumented repetition are attached; the timed repetitions run
-    untraced.
+    ``algorithm`` is a kernel-table method or ``"gemm-baseline"`` (the
+    paper's GEMM-only lower bound).  The record's ``phases`` are the
+    Figure 6/8 breakdown of the one traced repetition.
     """
-    C = np.asarray(factors[0]).shape[1]
-    scratch: dict = {}
-
     if algorithm == "gemm-baseline":
+        scratch: dict = {}
 
         def kernel() -> None:
             mttkrp_gemm_lower_bound(
@@ -195,36 +128,37 @@ def run_mttkrp_point(
                 tensor, factors, mode, method=algorithm, num_threads=threads
             )
 
-    samples = time_samples(kernel, repeats=repeats)
-    tracer = _captured_trace(kernel)
-    return MTTKRPPoint(
-        algorithm=algorithm,
-        shape=tensor.shape,
-        mode=int(mode),
-        C=int(C),
-        threads=int(threads),
-        seconds=float(np.median(samples)),
-        phases=obs.phase_totals(tracer),
-        stats=_stats_from_samples(samples),
-        counters=obs.counters_snapshot(tracer),
+    return measure_case(
+        benchmark,
+        case,
+        kernel,
+        params={"shape": list(tensor.shape),
+                "C": int(np.asarray(factors[0]).shape[1]),
+                "mode": int(mode), "algorithm": algorithm,
+                "threads": int(threads), **(params or {})},
+        repeats=repeats,
     )
 
 
 def run_cpals_point(
+    benchmark: str,
+    case: str,
     tensor: DenseTensor,
     rank: int,
     implementation: str,
     threads: int,
     iterations: int = 3,
     rng: int = 0,
-) -> CPALSPoint:
+    *,
+    params: dict | None = None,
+) -> dict:
     """Measure per-iteration CP-ALS time (Figure 7 protocol).
 
-    Both implementations get identical random initial factors so they do
-    identical arithmetic per iteration; ``tol=0``-style fixed iteration
-    counts make the per-iteration average well-defined.  The whole
-    measured run executes under a capture tracer, so the attached
-    counters are totals over all ``iterations``.
+    Every implementation gets identical random initial factors so they
+    do identical arithmetic per iteration; ``tol=0`` fixes the iteration
+    count, and the record's timing is taken over the run's
+    per-iteration wall times.  The whole run executes under a capture
+    tracer, so the counters are totals over all ``iterations``.
     """
     init = random_factors(tensor.shape, rank, rng=rng)
     with obs.capture() as tracer:
@@ -240,8 +174,6 @@ def run_cpals_point(
                     "dimtree" if implementation == "dimtree" else "per-mode"
                 ),
             )
-            per_iter = res.mean_iteration_time
-            fit = res.final_fit
         elif implementation == "ttb":
             res = cp_als_ttb(
                 tensor,
@@ -251,22 +183,15 @@ def run_cpals_point(
                 init=init,
                 num_threads=threads,
             )
-            per_iter = res.mean_iteration_time
-            fit = res.final_fit
         else:
             raise ValueError(f"unknown implementation {implementation!r}")
-    return CPALSPoint(
-        implementation=implementation,
-        shape=tensor.shape,
-        rank=int(rank),
-        threads=int(threads),
-        seconds_per_iteration=per_iter,
-        final_fit=fit,
-        stats={
-            "mean_s": float(per_iter),
-            "median_s": float(per_iter),
-            "repeats": int(iterations),
-        },
+    return new_record(
+        benchmark,
+        case,
+        timing=timing_from_stats(res.iteration_times),
+        params={"shape": list(tensor.shape), "rank": int(rank),
+                "implementation": implementation, "threads": int(threads),
+                **(params or {})},
         counters=obs.counters_snapshot(tracer),
     )
 

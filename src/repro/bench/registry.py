@@ -180,19 +180,24 @@ def measure_case(
     """Measure ``fn`` into one normalized record.
 
     Timed repetitions run untraced; one extra instrumented repetition
-    under :func:`repro.obs.capture` supplies the obs counters, so
-    instrumentation overhead never contaminates the timing statistics.
+    under :func:`repro.obs.capture` supplies the obs counters and the
+    phase breakdown (:func:`repro.obs.phase_totals`, stored as
+    ``phases`` when the kernel records any), so instrumentation overhead
+    never contaminates the timing statistics.
     """
     samples = time_samples(fn, repeats=repeats, warmup=warmup)
     counters: dict[str, float] = {}
+    phases: dict[str, float] = {}
     if capture_counters:
         with obs.capture() as tracer:
             fn()
         counters = obs.counters_snapshot(tracer)
+        phases = obs.phase_totals(tracer)
     return new_record(
         benchmark,
         case,
         timing=timing_from_stats(samples),
         params=params,
         counters=counters,
+        phases=phases,
     )

@@ -1,13 +1,8 @@
 """One normalized result schema for every benchmark this repo runs.
 
-Before this module, results were scattered across three mutually
-incompatible ad-hoc JSON layouts (``results/BENCH_backend.json``,
-``BENCH_dimtree.json``, ``BENCH_tune.json``) plus context-free
-``fig*.txt`` text dumps, so "is PR N+1 faster than PR N?" required
-archaeology.  Every :mod:`repro.bench.registry` runner now emits the
-**same versioned record** (the legacy dimtree layout was converted
-once into ``results/dimtree.bench.json``), and
-:mod:`repro.bench.trend` consumes nothing else.
+Every :mod:`repro.bench.registry` runner emits the **same versioned
+record**; :mod:`repro.bench.trend` and the figure tables of
+:mod:`repro.bench.figures` consume nothing else.
 
 A record is a plain JSON-able dict::
 
@@ -22,7 +17,8 @@ A record is a plain JSON-able dict::
                    "gemm_calls": ..., "imbalance_max": ..., ...},
       "host": host_fingerprint(),        # incl. git_rev / git_dirty
       "context": {"source": "repro-bench", "scale": 0.002, ...},
-      "created_unix": 1754000000.0
+      "created_unix": 1754000000.0,
+      "phases": {"full_krp": ..., "gemm": ...}   # optional
     }
 
 ``timing.median_s`` is the headline number (the paper's MTTKRP protocol);
@@ -32,7 +28,8 @@ achieved-vs-lower-bound ratio reportable at all.
 
 Result *files* wrap a list of records with a small envelope
 (:func:`write_results` / :func:`load_results`); committed history lives
-as ``results/*.bench.json``.
+as ``results/<suite>.bench.json``, one baseline record per
+``(benchmark, case, host_class)``.
 """
 
 from __future__ import annotations
@@ -42,14 +39,13 @@ import os
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.bench.env import host_fingerprint
+from repro.bench.env import host_class_of, host_fingerprint
 
 __all__ = [
     "SCHEMA_VERSION",
     "RESULTS_SUFFIX",
     "SchemaError",
     "new_record",
-    "record_from_point",
     "timing_from_stats",
     "validate_record",
     "validate_results_doc",
@@ -127,40 +123,6 @@ def new_record(
         record["phases"] = {k: float(v) for k, v in phases.items()}
     validate_record(record)
     return record
-
-
-def record_from_point(
-    benchmark: str,
-    case: str,
-    point,
-    *,
-    params: dict | None = None,
-    context: dict | None = None,
-    host: dict | None = None,
-) -> dict:
-    """Record from a harness point dataclass (``run_*_point`` output).
-
-    Points expose ``stats`` / ``counters`` since the registry refactor;
-    older callers that only have ``seconds`` still get a valid record
-    with a single-sample timing block.
-    """
-    stats = dict(getattr(point, "stats", None) or {})
-    if not stats:
-        seconds = getattr(point, "seconds", None)
-        if seconds is None:
-            seconds = getattr(point, "seconds_per_iteration")
-        stats = {"median_s": float(seconds), "repeats": 1}
-    phases = dict(getattr(point, "phases", None) or {})
-    return new_record(
-        benchmark,
-        case,
-        timing=stats,
-        params=params,
-        counters=dict(getattr(point, "counters", None) or {}),
-        context=context,
-        host=host,
-        phases=phases or None,
-    )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -284,11 +246,16 @@ def load_history(
     ``strict`` (history may span schema versions; one bad file must not
     brick the scoreboard).  ``exclude`` removes specific paths — the
     trend CLI uses it so a current-run file is not its own baseline.
+
+    Raises :class:`SchemaError` naming both files when two records share
+    a ``(benchmark, case, host_class)`` key: history holds one baseline
+    per case and host class, so there is nothing to choose between.
     """
     import warnings
 
     excluded = {os.path.abspath(p) for p in exclude}
     records: list[dict] = []
+    seen: dict[tuple[str, str, str], str] = {}
     if not os.path.isdir(results_dir):
         return records
     for name in sorted(os.listdir(results_dir)):
@@ -298,14 +265,23 @@ def load_history(
         if os.path.abspath(path) in excluded:
             continue
         try:
-            for record in load_results(path):
-                record = dict(record)
-                record.setdefault("context", {})
-                record["context"] = {**record["context"], "file": name}
-                records.append(record)
+            loaded = load_results(path)
         except SchemaError as exc:
             if strict:
                 raise
             warnings.warn(f"skipping unreadable results file: {exc}",
                           stacklevel=2)
+            continue
+        for record in loaded:
+            key = (record["benchmark"], record["case"],
+                   host_class_of(record["host"]))
+            if key in seen:
+                raise SchemaError(
+                    f"duplicate baseline for {key[0]}:{key[1]} on "
+                    f"{key[2]} in {seen[key]} and {name}"
+                )
+            seen[key] = name
+            record = dict(record)
+            record["context"] = {**record["context"], "file": name}
+            records.append(record)
     return records

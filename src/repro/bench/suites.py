@@ -1,11 +1,11 @@
 """Registered benchmark suites: the registry's name → runner bindings.
 
-Each runner measures a bounded, representative set of points for its
-benchmark at the requested ``scale`` (volumetric fraction of the paper
-workload) and returns normalized schema records.  Exhaustive sweeps
-remain available through the figure drivers
-(``python -m repro.bench.figures``); the registry's job is a *stable,
-comparable* set of cases the trend tracker can diff across PRs.
+Each runner measures its benchmark's case list at the requested
+``scale`` (volumetric fraction of the paper workload) and returns
+normalized schema records.  The figure suites (``fig4``–``fig8``) cover
+every point of the paper's measured tables: the figure drivers
+(``python -m repro.bench.figures``) render these records, so a figure
+and the trend history come from one measurement.
 
 Case ids are contract: ``repro.bench.trend`` matches history on
 ``(benchmark, case, host_class)``, so renaming a case silently orphans
@@ -24,7 +24,6 @@ from repro.bench.harness import (
     run_stream_point,
 )
 from repro.bench.registry import measure_case, register
-from repro.bench.schema import record_from_point
 from repro.data.fmri import synthetic_fmri
 from repro.data.workloads import (
     FIG4_WORKLOADS,
@@ -35,16 +34,26 @@ from repro.data.workloads import (
     scaled_shape,
 )
 from repro.tensor.generate import random_factors, random_tensor
+from repro.util import prod
 
 __all__: list[str] = []
 
 
 def _mttkrp_algorithms(N: int, n: int) -> list[str]:
+    """The Figure 5/6/8 algorithms for mode ``n`` of an ``N``-way tensor."""
     algos = ["onestep"]
     if 0 < n < N - 1:
         algos.append("twostep")
     algos.append("gemm-baseline")
     return algos
+
+
+def _fmri_shapes(paper: bool) -> list[tuple[tuple[int, ...], str]]:
+    """The Figure 7/8 fMRI tensor shapes: 3-way (pairs folded) and 4-way."""
+    dims = FMRI_PAPER_4D if paper else FMRI_REDUCED_4D
+    t, s, r, _ = dims
+    pairs = r * (r - 1) // 2
+    return [((t, s, pairs), "3D"), (dims, "4D")]
 
 
 # --------------------------------------------------------------------- #
@@ -64,32 +73,17 @@ def _run_fig4(scale, threads, repeats, rng):
         dims = wl.dims(scale)
         gen = np.random.default_rng(rng)
         mats = [gen.random((d, wl.C)) for d in dims]
-        rows_total = int(np.prod([m.shape[0] for m in mats]))
         for T in threads:
             for schedule in ("reuse", "naive"):
-                point = run_krp_point(mats, T, schedule, repeats)
-                records.append(record_from_point(
-                    "fig4",
-                    f"Z{wl.Z}-C{wl.C}/{schedule}/T{T}",
-                    point,
-                    params={"Z": wl.Z, "C": wl.C, "rows": rows_total,
-                            "threads": T, "schedule": schedule},
+                records.append(run_krp_point(
+                    "fig4", f"Z{wl.Z}-C{wl.C}/{schedule}/T{T}",
+                    mats, T, schedule, repeats,
                 ))
-            stream = run_stream_point(rows_total, wl.C, T, repeats)
-            records.append(record_from_point(
-                "fig4",
-                f"Z{wl.Z}-C{wl.C}/stream/T{T}",
-                stream,
-                params={"Z": wl.Z, "C": wl.C, "rows": rows_total,
-                        "threads": T, "schedule": "stream"},
+            records.append(run_stream_point(
+                "fig4", f"Z{wl.Z}-C{wl.C}/stream/T{T}",
+                prod(dims), wl.C, T, repeats, params={"Z": wl.Z},
             ))
     return records
-
-
-def _fig5_modes(N: int) -> list[int]:
-    """One external plus one internal representative mode."""
-    internal = N // 2 if 0 < N // 2 < N - 1 else (1 if N > 2 else 0)
-    return sorted({0, internal})
 
 
 @register(
@@ -104,17 +98,12 @@ def _run_fig5(scale, threads, repeats, rng):
         shape = wl.shape(scale)
         X = random_tensor(shape, rng=rng)
         U = random_factors(shape, wl.C, rng=rng + 1)
-        for n in _fig5_modes(wl.N):
+        for n in range(wl.N):
             for algo in _mttkrp_algorithms(wl.N, n):
                 for T in threads:
-                    point = run_mttkrp_point(X, U, n, algo, T, repeats)
-                    records.append(record_from_point(
-                        "fig5",
-                        f"N{wl.N}/n{n}/{algo}/T{T}",
-                        point,
-                        params={"N": wl.N, "shape": list(shape),
-                                "C": wl.C, "mode": n, "algorithm": algo,
-                                "threads": T},
+                    records.append(run_mttkrp_point(
+                        "fig5", f"N{wl.N}/n{n}/{algo}/T{T}",
+                        X, U, n, algo, T, repeats, params={"N": wl.N},
                     ))
     return records
 
@@ -127,14 +116,10 @@ def _breakdown_records(bench_id, shapes_and_names, C, threads, repeats, rng):
         for n in range(len(shape)):
             for algo in _mttkrp_algorithms(len(shape), n):
                 for T in threads:
-                    point = run_mttkrp_point(X, U, n, algo, T, repeats)
-                    records.append(record_from_point(
-                        bench_id,
-                        f"{name}/n{n}/{algo}/T{T}",
-                        point,
-                        params={"workload": name, "shape": list(shape),
-                                "C": C, "mode": n, "algorithm": algo,
-                                "threads": T},
+                    records.append(run_mttkrp_point(
+                        bench_id, f"{name}/n{n}/{algo}/T{T}",
+                        X, U, n, algo, T, repeats,
+                        params={"workload": name},
                     ))
     return records
 
@@ -150,13 +135,6 @@ def _run_fig6(scale, threads, repeats, rng):
     return _breakdown_records("fig6", shapes, 25, threads, repeats, rng)
 
 
-def _fmri_shapes(paper: bool) -> list[tuple[tuple[int, ...], str]]:
-    dims = FMRI_PAPER_4D if paper else FMRI_REDUCED_4D
-    t, s, r, _ = dims
-    pairs = r * (r - 1) // 2
-    return [((t, s, pairs), "3D"), (dims, "4D")]
-
-
 @register(
     "fig7",
     title="Figure 7: CP-ALS per-iteration time vs TTB reference",
@@ -167,22 +145,15 @@ def _run_fig7(scale, threads, repeats, rng):
     t, s, r, _ = FMRI_PAPER_4D if scale >= 1.0 else FMRI_REDUCED_4D
     data = synthetic_fmri(t, s, r, rank=5, rng=rng)
     tensors = [(data.to_3way(), "3D"), (data.tensor, "4D")]
-    ranks = (min(FIG7_RANKS), max(FIG7_RANKS))
     records = []
     for X, kind in tensors:
-        for rank in ranks:
+        for rank in FIG7_RANKS:
             for impl in ("repro", "dimtree", "ttb"):
                 for T in threads:
-                    point = run_cpals_point(
-                        X, rank, impl, T, iterations=max(repeats, 2), rng=rng
-                    )
-                    records.append(record_from_point(
-                        "fig7",
-                        f"{kind}/C{rank}/{impl}/T{T}",
-                        point,
-                        params={"tensor": kind, "shape": list(X.shape),
-                                "rank": rank, "implementation": impl,
-                                "threads": T},
+                    records.append(run_cpals_point(
+                        "fig7", f"{kind}/C{rank}/{impl}/T{T}",
+                        X, rank, impl, T, iterations=max(repeats, 2),
+                        rng=rng, params={"tensor": kind},
                     ))
     return records
 
@@ -437,7 +408,6 @@ def _run_batch(scale, threads, repeats, rng):
     from repro.batch import BatchedTensor, cp_als_batched, mttkrp_batched
     from repro.core.dispatch import mttkrp
     from repro.parallel.workspace import Workspace
-    from repro.util import prod
 
     shape, rank, mode = (10, 9, 8), 8, 1
     gen = np.random.default_rng(rng)

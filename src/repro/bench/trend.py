@@ -1,8 +1,10 @@
 """Cross-PR regression tracking over committed benchmark history.
 
-The per-PR speed scoreboard the ROADMAP demands: load every normalized
-results file committed under ``results/``, pick a baseline per
-``(benchmark, case, host_class)``, diff a current run against it, render
+The per-PR speed scoreboard: load every normalized results file
+committed under ``results/`` (one baseline record per
+``(benchmark, case, host_class)``, which
+:func:`repro.bench.schema.load_history` enforces), diff a current run
+against it, render
 a trend report (text table and/or JSON) and **fail loudly** — nonzero
 exit status, offending benchmarks named — when a case got slower than
 the tolerance allows.
@@ -88,7 +90,6 @@ class TrendResult:
     comparisons: list[Comparison] = field(default_factory=list)
     tolerance: float = DEFAULT_TOLERANCE
     abs_floor_s: float = DEFAULT_ABS_FLOOR_S
-    baseline_policy: str = "best"
 
     @property
     def regressions(self) -> list[Comparison]:
@@ -104,29 +105,14 @@ class TrendResult:
 
 
 def select_baselines(
-    history: Sequence[dict], policy: str = "best"
+    history: Sequence[dict],
 ) -> dict[tuple[str, str, str], dict]:
     """Baseline record per (benchmark, case, host_class).
 
-    ``policy="best"`` keeps the fastest median ever committed (the honest
-    "did we ever do better?" bar); ``"latest"`` keeps the newest record
-    (the "did this PR make it worse than last PR?" bar).
+    History holds one record per key (:func:`repro.bench.schema.load_history`
+    rejects duplicates), so the baseline is that record.
     """
-    if policy not in ("best", "latest"):
-        raise ValueError(f"unknown baseline policy {policy!r}")
-    chosen: dict[tuple[str, str, str], dict] = {}
-    for record in history:
-        key = _key(record)
-        incumbent = chosen.get(key)
-        if incumbent is None:
-            chosen[key] = record
-        elif policy == "best" and _median(record) < _median(incumbent):
-            chosen[key] = record
-        elif policy == "latest" and (
-            record.get("created_unix", 0) > incumbent.get("created_unix", 0)
-        ):
-            chosen[key] = record
-    return chosen
+    return {_key(record): record for record in history}
 
 
 def compare(
@@ -135,7 +121,6 @@ def compare(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-    baseline: str = "best",
 ) -> TrendResult:
     """Diff current records against history baselines.
 
@@ -145,11 +130,9 @@ def compare(
     band is **ok**.  Cases with no same-host-class baseline are reported
     as ``no-baseline`` (informational, never failing).
     """
-    baselines = select_baselines(history, baseline)
+    baselines = select_baselines(history)
     result = TrendResult(
-        tolerance=float(tolerance),
-        abs_floor_s=float(abs_floor_s),
-        baseline_policy=baseline,
+        tolerance=float(tolerance), abs_floor_s=float(abs_floor_s)
     )
     for record in current:
         key = _key(record)
@@ -188,13 +171,11 @@ def evaluate(
     exclude_files: Sequence[str] = (),
     tolerance: float = DEFAULT_TOLERANCE,
     abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-    baseline: str = "best",
 ) -> TrendResult:
     """:func:`compare` against the history committed in ``results_dir``."""
     history = load_history(results_dir, exclude=exclude_files)
     return compare(
-        current, history,
-        tolerance=tolerance, abs_floor_s=abs_floor_s, baseline=baseline,
+        current, history, tolerance=tolerance, abs_floor_s=abs_floor_s
     )
 
 
@@ -249,8 +230,8 @@ def render_text(result: TrendResult, out=None) -> None:
         f"{len(result.improvements)} improvement(s), "
         f"{sum(1 for c in result.comparisons if c.status == 'no-baseline')} "
         f"without baseline "
-        f"(policy={result.baseline_policy}, tolerance="
-        f"{result.tolerance:.0%}, floor={_fmt_seconds(result.abs_floor_s)})",
+        f"(tolerance={result.tolerance:.0%}, "
+        f"floor={_fmt_seconds(result.abs_floor_s)})",
         file=out,
     )
     if result.regressions:
@@ -262,7 +243,6 @@ def render_json(result: TrendResult) -> dict:
     """Machine-readable trend report (the text table's exact content)."""
     return {
         "kind": "repro-bench-trend",
-        "baseline_policy": result.baseline_policy,
         "tolerance": result.tolerance,
         "abs_floor_s": result.abs_floor_s,
         "exit_code": result.exit_code,

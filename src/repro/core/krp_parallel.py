@@ -76,10 +76,11 @@ def khatri_rao_parallel(
 
     tracer = get_tracer()
     with tracer.span("krp.parallel", rows=rows, C=C, schedule=schedule) as sp:
-        cost = krp_cost([m.shape[0] for m in mats], C, schedule=schedule)
-        sp.add("flops", cost.flops)
-        sp.add("bytes_read", cost.read_bytes)
-        sp.add("bytes_written", cost.write_bytes)
+        if tracer.enabled:
+            cost = krp_cost([m.shape[0] for m in mats], C, schedule=schedule)
+            sp.add("flops", cost.flops)
+            sp.add("bytes_read", cost.read_bytes)
+            sp.add("bytes_written", cost.write_bytes)
         if T == 1 and pool is None:
             if out is None:
                 out = np.empty((rows, C), dtype=dtype)

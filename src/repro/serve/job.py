@@ -73,11 +73,15 @@ class QueueFullError(ServeError):
 
 
 class JobNotFoundError(ServeError, KeyError):
-    """An id that was never issued (or was evicted from the registry)."""
+    """An id the server never issued."""
 
     def __init__(self, job_id: str) -> None:
         super().__init__(f"unknown job id {job_id!r}")
         self.job_id = job_id
+
+    def __str__(self) -> str:
+        # KeyError.__str__ would repr() the message, quoting it twice.
+        return self.args[0]
 
 
 class ServerClosedError(ServeError):
@@ -140,9 +144,9 @@ class JobSpec:
         Per-job memory budget validated at admission against the
         estimated working set (see :func:`repro.serve.budget.estimate_job_bytes`).
     batchable:
-        ``None`` — the scheduler decides from size and the tuning
-        cache's stacked-vs-loop crossover; ``False`` — force solo;
-        ``True`` — always eligible for coalescing.
+        ``None`` — the scheduler decides from size (coalesce at most
+        ``ServeConfig.max_item_elems`` elements); ``False`` — force
+        solo; ``True`` — always eligible for coalescing.
     trace:
         Capture a per-job :mod:`repro.obs` Chrome trace + counters in
         the worker and replay them in :attr:`JobResult.trace` /

@@ -11,6 +11,7 @@ from repro.bench.harness import (
     run_mttkrp_point,
     run_stream_point,
 )
+from repro.bench.schema import validate_record
 from repro.bench.stream import stream_buffers, stream_scale
 from repro.bench.timing import mean_time, median_time, time_once
 from repro.tensor.generate import random_factors, random_tensor
@@ -62,16 +63,20 @@ class TestStreamKernel:
 class TestRunners:
     def test_krp_point(self, rng):
         mats = [rng.random((d, 4)) for d in (6, 5)]
-        p = run_krp_point(mats, threads=2, repeats=1)
-        assert p.seconds > 0
-        assert (p.Z, p.C, p.rows, p.threads) == (2, 4, 30, 2)
-        assert p.stats["median_s"] > 0
-        assert p.stats["repeats"] == 1
+        r = run_krp_point("fig4", "krp", mats, threads=2, repeats=1)
+        validate_record(r)
+        assert (r["benchmark"], r["case"]) == ("fig4", "krp")
+        p = r["params"]
+        assert (p["Z"], p["C"], p["rows"], p["threads"]) == (2, 4, 30, 2)
+        assert r["timing"]["mean_s"] > 0
+        assert r["timing"]["repeats"] == 1
 
     def test_stream_point(self):
-        p = run_stream_point(1000, 4, threads=1, repeats=1)
-        assert p.schedule == "stream"
-        assert p.seconds > 0
+        r = run_stream_point("fig4", "stream", 1000, 4, threads=1, repeats=1,
+                             params={"Z": 3})
+        assert r["params"]["schedule"] == "stream"
+        assert r["params"]["Z"] == 3
+        assert r["timing"]["mean_s"] > 0
 
     @pytest.mark.parametrize(
         "algo", ["onestep", "twostep", "gemm-baseline", "baseline"]
@@ -79,34 +84,40 @@ class TestRunners:
     def test_mttkrp_point(self, algo):
         X = random_tensor((6, 7, 8), rng=0)
         U = random_factors(X.shape, 4, rng=1)
-        p = run_mttkrp_point(X, U, 1, algo, threads=1, repeats=1)
-        assert p.seconds > 0
-        assert p.algorithm == algo
-        assert p.phases  # breakdown attached
-        assert p.stats["min_s"] <= p.stats["median_s"] <= p.stats["max_s"]
+        r = run_mttkrp_point("fig5", algo, X, U, 1, algo, threads=1,
+                             repeats=1)
+        validate_record(r)
+        assert r["timing"]["median_s"] > 0
+        assert r["params"]["algorithm"] == algo
+        assert r["phases"]  # breakdown attached
+        t = r["timing"]
+        assert t["min_s"] <= t["median_s"] <= t["max_s"]
         # the instrumented repetition captured obs counters
-        assert p.counters.get("flops", 0) > 0
+        assert r["counters"].get("flops", 0) > 0
 
     @pytest.mark.parametrize("impl", ["repro", "ttb"])
     def test_cpals_point(self, impl):
         X = random_tensor((6, 7, 8), rng=0)
-        p = run_cpals_point(X, 3, impl, threads=1, iterations=2)
-        assert p.seconds_per_iteration > 0
-        assert p.implementation == impl
-        assert p.stats["repeats"] == 2
+        r = run_cpals_point("fig7", impl, X, 3, impl, threads=1,
+                            iterations=2)
+        validate_record(r)
+        assert r["timing"]["median_s"] > 0
+        assert r["params"]["implementation"] == impl
+        assert r["timing"]["repeats"] == 2
 
     def test_mttkrp_point_leaves_tracer_disabled(self):
         import repro.obs as obs
 
         X = random_tensor((5, 6, 7), rng=0)
         U = random_factors(X.shape, 3, rng=1)
-        run_mttkrp_point(X, U, 0, "onestep", threads=1, repeats=1)
+        run_mttkrp_point("fig5", "n0", X, U, 0, "onestep", threads=1,
+                         repeats=1)
         assert obs.get_tracer() is obs.NULL_TRACER
 
     def test_cpals_unknown_impl(self):
         X = random_tensor((4, 5), rng=0)
         with pytest.raises(ValueError, match="implementation"):
-            run_cpals_point(X, 2, "matlab", threads=1)
+            run_cpals_point("fig7", "matlab", X, 2, "matlab", threads=1)
 
 
 class TestFigureDrivers:

@@ -38,13 +38,14 @@ class TestHostFingerprint:
         assert host_class().endswith("cpu")
 
     def test_host_class_of_legacy_dict(self):
-        # the pre-schema BENCH_*.json host dicts had no "machine" key
+        # A host dict without a "machine" key is its own class: the
+        # platform string is not parsed for one.
         legacy = {
             "cpus": 1,
             "platform": "Linux-6.18.5-x86_64-with-glibc2.36",
             "python": "3.11.7",
         }
-        assert host_class_of(legacy) == "x86_64-1cpu"
+        assert host_class_of(legacy) == "unknown-1cpu"
 
     def test_host_class_of_unknown(self):
         assert host_class_of({}) == "unknown-?cpu"
@@ -166,6 +167,12 @@ class TestResultsFiles:
         (tmp_path / "bad.bench.json").write_text("{not json")
         with pytest.raises(SchemaError):
             load_history(str(tmp_path), strict=True)
+
+    def test_load_history_rejects_duplicate_case(self, tmp_path):
+        write_results(str(tmp_path / "a.bench.json"), self._records())
+        write_results(str(tmp_path / "b.bench.json"), self._records()[1:2])
+        with pytest.raises(SchemaError, match="case1.*a.bench.json.*b.bench.json"):
+            load_history(str(tmp_path))
 
     def test_load_history_missing_dir(self, tmp_path):
         assert load_history(str(tmp_path / "nope")) == []

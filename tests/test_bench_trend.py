@@ -7,7 +7,12 @@ import pytest
 
 from repro.bench.cli import main as cli_main
 from repro.bench.env import host_class_of
-from repro.bench.schema import load_history, new_record, write_results
+from repro.bench.schema import (
+    load_history,
+    load_results,
+    new_record,
+    write_results,
+)
 from repro.bench.trend import (
     EXIT_OK,
     EXIT_REGRESSION,
@@ -71,23 +76,11 @@ class TestCompare:
         result = compare([_rec("fig5", "a", 1.0, host=HOST_A)], history)
         assert [c.status for c in result.comparisons] == ["no-baseline"]
 
-    def test_best_baseline_policy(self):
-        history = [_rec("fig5", "a", 2.0), _rec("fig5", "a", 1.0)]
-        baselines = select_baselines(history, "best")
-        key = ("fig5", "a", host_class_of(HOST_A))
-        assert baselines[key]["timing"]["median_s"] == 1.0
-
-    def test_latest_baseline_policy(self):
-        old = _rec("fig5", "a", 1.0)
-        new = _rec("fig5", "a", 2.0)
-        new["created_unix"] = old["created_unix"] + 100
-        baselines = select_baselines([old, new], "latest")
-        key = ("fig5", "a", host_class_of(HOST_A))
-        assert baselines[key]["timing"]["median_s"] == 2.0
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            select_baselines([], "median")
+    def test_one_baseline_per_key(self):
+        history = [_rec("fig5", "a", 2.0), _rec("fig5", "a", 1.0, host=HOST_B)]
+        baselines = select_baselines(history)
+        assert baselines[("fig5", "a", host_class_of(HOST_A))] is history[0]
+        assert baselines[("fig5", "a", host_class_of(HOST_B))] is history[1]
 
     def test_render_text_names_offenders(self, capsys):
         history = [_rec("fig5", "slow-case", 1.0)]
@@ -222,29 +215,32 @@ class TestTrendCLI:
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-class TestMigration:
-    # results/dimtree.bench.json was converted once from the legacy
-    # layout; trend must keep loading it as a comparable baseline, with
-    # its provenance intact.
-    def _history(self):
-        return load_history(os.path.join(REPO_ROOT, "results"))
+class TestCommittedBaselines:
+    # results/ holds one <suite>.bench.json per suite, every record from
+    # one host class, with no case recorded twice.
+    def _files(self):
+        results = os.path.join(REPO_ROOT, "results")
+        return {
+            name: load_results(os.path.join(results, name))
+            for name in sorted(os.listdir(results))
+            if name.endswith(".bench.json")
+        }
 
-    def test_migrated_records_are_loadable_baselines(self):
-        history = self._history()
-        assert len(history) >= 20
-        baselines = select_baselines(history, "best")
-        # the legacy 1-CPU container records must be trend-comparable
-        # with current-suite case ids on the same host class
-        assert ("dimtree", "cpals-3D/per-mode/T1", "x86_64-1cpu") in baselines
-        assert ("dimtree", "node/batched", "x86_64-1cpu") in baselines
+    def test_one_file_per_suite(self):
+        files = self._files()
+        assert files
+        for name, records in files.items():
+            assert {r["benchmark"] for r in records} == {
+                name[: -len(".bench.json")]
+            }
+        history = load_history(os.path.join(REPO_ROOT, "results"),
+                               strict=True)
+        assert len({host_class_of(r["host"]) for r in history}) == 1
 
-    def test_migrated_context_keeps_provenance(self):
-        history = self._history()
-        rec = next(r for r in history if r["benchmark"] == "dimtree")
-        assert rec["context"]["source"] == "migrated"
-        assert rec["context"]["legacy_file"] == "BENCH_dimtree.json"
-
-    def test_committed_results_dir_is_migrated(self):
-        # the repo's own results/ must already hold the normalized files
-        names = {r["benchmark"] for r in self._history()}
-        assert "dimtree" in names
+    def test_ci_batch_cases_have_baselines(self):
+        # The CI trend gate runs the batch suite at scale 0.25 with
+        # threads 1,2; its case ids depend on the scale, so the committed
+        # baseline must be recorded with the same settings.
+        batch = self._files()["batch.bench.json"]
+        assert {r["context"]["scale"] for r in batch} == {0.25}
+        assert {tuple(r["context"]["threads"]) for r in batch} == {(1, 2)}

@@ -74,3 +74,33 @@ class TestKhatriRaoParallel:
         seq = khatri_rao(mats)
         par = khatri_rao_parallel(mats, num_threads=T)
         np.testing.assert_array_equal(par, seq)
+
+
+class TestCostCounters:
+    def test_untraced_call_skips_cost_model(self, monkeypatch):
+        import repro.core.krp_parallel as krp_parallel
+
+        def boom(*args, **kwargs):
+            raise AssertionError("krp_cost called without a tracer")
+
+        monkeypatch.setattr(krp_parallel, "krp_cost", boom)
+        mats = _mats([4, 3, 5])
+        for T in (1, 2):
+            np.testing.assert_array_equal(
+                khatri_rao_parallel(mats, num_threads=T), khatri_rao(mats)
+            )
+
+    @pytest.mark.parametrize("schedule", ["reuse", "naive"])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_traced_call_records_cost(self, schedule, T):
+        import repro.obs as obs
+        from repro.core.flops import krp_cost
+
+        mats = _mats([4, 3, 5], C=6)
+        with obs.capture() as tracer:
+            khatri_rao_parallel(mats, num_threads=T, schedule=schedule)
+        cost = krp_cost([4, 3, 5], 6, schedule=schedule)
+        counters = obs.counters_snapshot(tracer)
+        assert counters["flops"] == cost.flops
+        assert counters["bytes_read"] == cost.read_bytes
+        assert counters["bytes_written"] == cost.write_bytes
